@@ -18,6 +18,8 @@ from repro.hardware.coupling import CouplingMap
 __all__ = [
     "calibration_to_dict",
     "calibration_from_dict",
+    "backend_to_dict",
+    "backend_from_dict",
     "backend_to_json",
     "backend_from_json",
 ]
@@ -73,9 +75,9 @@ def calibration_from_dict(payload: Dict[str, Any]) -> Calibration:
         raise HardwareError(f"malformed calibration payload: {exc}") from exc
 
 
-def backend_to_json(backend: Backend) -> str:
-    """Serialize a full backend (name, coupling, calibration, flags)."""
-    payload = {
+def backend_to_dict(backend: Backend) -> Dict[str, Any]:
+    """Backend -> JSON-compatible record (name, coupling, calibration, flags)."""
+    return {
         "version": _FORMAT_VERSION,
         "name": backend.name,
         "num_qubits": backend.num_qubits,
@@ -83,15 +85,12 @@ def backend_to_json(backend: Backend) -> str:
         "supports_dynamic_circuits": backend.supports_dynamic_circuits,
         "calibration": calibration_to_dict(backend.calibration),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def backend_from_json(text: str) -> Backend:
-    """Inverse of :func:`backend_to_json`."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise HardwareError(f"invalid backend JSON: {exc}") from exc
+def backend_from_dict(payload: Dict[str, Any]) -> Backend:
+    """Inverse of :func:`backend_to_dict`."""
+    if not isinstance(payload, dict):
+        raise HardwareError("backend payload must be a JSON object")
     if payload.get("version") != _FORMAT_VERSION:
         raise HardwareError(
             f"unsupported backend format version {payload.get('version')!r}"
@@ -108,3 +107,17 @@ def backend_from_json(text: str) -> Backend:
         )
     except KeyError as exc:
         raise HardwareError(f"malformed backend payload: missing {exc}") from exc
+
+
+def backend_to_json(backend: Backend) -> str:
+    """Serialize a full backend as indented, key-sorted JSON text."""
+    return json.dumps(backend_to_dict(backend), indent=2, sort_keys=True)
+
+
+def backend_from_json(text: str) -> Backend:
+    """Inverse of :func:`backend_to_json`."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise HardwareError(f"invalid backend JSON: {exc}") from exc
+    return backend_from_dict(payload)

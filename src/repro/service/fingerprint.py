@@ -46,7 +46,7 @@ import networkx as nx
 from repro.circuit.circuit import QuantumCircuit
 from repro.exceptions import ServiceError
 from repro.hardware.backends import Backend
-from repro.hardware.serialization import backend_to_json
+from repro.hardware.serialization import backend_to_dict, backend_to_json
 
 __all__ = [
     "CALIB_BANDS_ENV",
@@ -186,7 +186,7 @@ def banded_backend_digest(
         return None
     if not calib_bands:
         return backend_digest(backend)
-    payload = json.loads(backend_to_json(backend))
+    payload = backend_to_dict(backend)
     calibration = payload["calibration"]
     for name in BANDED_CALIBRATION_FIELDS:
         calibration[name] = {
@@ -209,6 +209,7 @@ def request_fingerprint(
     strategy: str = "auto",
     objective: Optional[str] = None,
     calib_bands: Optional[int] = None,
+    backend_hash: Optional[str] = None,
 ) -> str:
     """The content-addressed cache key for one ``caqr_compile`` request.
 
@@ -216,7 +217,9 @@ def request_fingerprint(
     (:func:`banded_backend_digest`); ``None`` defers to
     :data:`CALIB_BANDS_ENV`, and banding off reproduces the historical
     keys bit for bit (the ``calib_bands`` payload entry only appears when
-    banding is on).
+    banding is on).  A caller that already holds
+    ``banded_backend_digest(backend, <resolved bands>)`` passes it as
+    *backend_hash* so the backend is not serialised a second time.
     """
     if isinstance(target, nx.Graph):
         target_kind, target_hash = "graph", graph_digest(target)
@@ -226,7 +229,11 @@ def request_fingerprint(
     payload: Dict[str, Any] = {
         "target_kind": target_kind,
         "target": target_hash,
-        "backend": banded_backend_digest(backend, bands),
+        "backend": (
+            backend_hash
+            if backend_hash is not None
+            else banded_backend_digest(backend, bands)
+        ),
         "mode": mode,
         "qubit_limit": qubit_limit,
         "reset_style": reset_style,

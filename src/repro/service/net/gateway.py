@@ -50,7 +50,6 @@ backend URLs are dialed with stdlib TLS (``backend_ca`` /
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import os
 import ssl
@@ -66,6 +65,7 @@ from repro.service.fleet import DEFAULT_VNODES, FleetState, ring_key
 from repro.service.metrics import render_prometheus
 from repro.service.net.http1 import (
     MAX_HEADER_BYTES,
+    BodyKeyCache,
     format_response,
     parse_head,
     read_response,
@@ -298,8 +298,7 @@ class GatewayServer:
             for url in cleaned
         }
         # body digest -> (fingerprint, shard): one decode per unique body
-        self._key_cache: "OrderedDict[str, Tuple[str, str]]" = OrderedDict()
-        self._key_cache_entries = key_cache_entries
+        self._key_cache = BodyKeyCache(key_cache_entries)
         # ring key -> backend that last served it (peer-fill source)
         self._last_served: "OrderedDict[str, str]" = OrderedDict()
         self._fingerprint_pool = ThreadPoolExecutor(
@@ -635,10 +634,8 @@ class GatewayServer:
         envelope off-loop (the only place the gateway touches circuit
         JSON).
         """
-        digest = hashlib.sha256(body).hexdigest()
-        cached = self._key_cache.get(digest)
+        digest, cached = self._key_cache.get(body)
         if cached is not None:
-            self._key_cache.move_to_end(digest)
             self.stats.count("key_cache_hits")
             fingerprint, shard = cached
             return fingerprint, shard, ring_key(shard, fingerprint)
@@ -647,10 +644,7 @@ class GatewayServer:
         fingerprint, shard = await loop.run_in_executor(
             self._fingerprint_pool, self._derive_key, body
         )
-        self._key_cache[digest] = (fingerprint, shard)
-        self._key_cache.move_to_end(digest)
-        while len(self._key_cache) > self._key_cache_entries:
-            self._key_cache.popitem(last=False)
+        self._key_cache.put(digest, (fingerprint, shard))
         return fingerprint, shard, ring_key(shard, fingerprint)
 
     @staticmethod
@@ -659,8 +653,7 @@ class GatewayServer:
             payload = json.loads(body)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WireError(f"request body is not JSON: {exc}") from exc
-        request = request_from_wire(payload)
-        return request.fingerprint(), request.shard()
+        return request_from_wire(payload).keys()
 
     def _note_served(self, rk: str, backend: str) -> None:
         self._last_served[rk] = backend

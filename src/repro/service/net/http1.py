@@ -11,7 +11,9 @@ pieces they share so the two never drift:
 * :func:`send_request` / :func:`read_response` — the *client* half used
   by the gateway's pooled backend connections (and by nothing else: the
   blocking :class:`~repro.service.net.client.RemoteCompileService` rides
-  stdlib ``http.client`` instead).
+  stdlib ``http.client`` instead);
+* :class:`BodyKeyCache` — the sha256(body) -> derived-keys LRU both
+  hosts use to skip re-decoding a request body they have seen before.
 
 Everything is stdlib only and carries no service semantics — wire
 envelopes stay in :mod:`repro.service.net.wire`.
@@ -20,11 +22,14 @@ envelopes stay in :mod:`repro.service.net.wire`.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Mapping, Optional, Tuple
+import hashlib
+from collections import OrderedDict
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "MAX_HEADER_BYTES",
     "REASONS",
+    "BodyKeyCache",
     "parse_head",
     "format_response",
     "send_request",
@@ -47,6 +52,37 @@ REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+class BodyKeyCache:
+    """Bounded LRU from the sha256 of a request body to keys derived from it.
+
+    Sound only for values that are a pure function of the body bytes
+    (a request envelope carries its resolved ``calib_bands``, so its
+    fingerprint and shard are).  Not thread-safe: use it from one event
+    loop.
+    """
+
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, body: bytes) -> Tuple[str, Optional[Any]]:
+        """``(body digest, cached value or None)``; a hit becomes most recent."""
+        digest = hashlib.sha256(body).hexdigest()
+        value = self._entries.get(digest)
+        if value is not None:
+            self._entries.move_to_end(digest)
+        return digest, value
+
+    def put(self, digest: str, value: Any) -> None:
+        self._entries[digest] = value
+        self._entries.move_to_end(digest)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
 
 
 def parse_head(blob: bytes) -> Optional[Tuple[str, str, Dict[str, str]]]:

@@ -60,7 +60,12 @@ Operational behaviour:
   ``(fingerprint, wire schema version)``, skipping ``report_to_dict``
   and JSON encoding entirely (``envelope_hits``); entries drop with the
   underlying cache entry (TTL check on every fast-path hit, explicit
-  ``/v1/cache/invalidate``);
+  ``/v1/cache/invalidate``).  A body-digest LRU in front of it maps the
+  sha256 of a compile body seen before to its ``(fingerprint, shard,
+  strategy)`` (``key_cache_hits``/``key_cache_misses``), so a repeat body
+  reaches its envelope without ``json.loads`` or ``request_from_wire``.
+  Sound because the fingerprint is a pure function of the body bytes:
+  the sender ships its resolved ``calib_bands``;
 * **observability** — every request is timed into fixed-bucket latency
   histograms (``request_latency`` plus per-route), exported by
   ``GET /v1/metrics``, and optionally logged as one JSONL record
@@ -85,6 +90,7 @@ from repro.service.metrics import render_prometheus
 from repro.service.net.http1 import (
     MAX_HEADER_BYTES as _MAX_HEADER_BYTES,
     REASONS as _REASONS,
+    BodyKeyCache,
     parse_head,
 )
 from repro.service.net.wire import (
@@ -97,7 +103,7 @@ from repro.service.net.wire import (
 )
 from repro.service.reqlog import RequestLog
 from repro.service.serialization import dumps_entry
-from repro.service.service import CompileService
+from repro.service.service import CompileRequest, CompileService
 from repro.service.stats import ServiceStats
 
 __all__ = [
@@ -151,6 +157,8 @@ _REPORT_STAT_DOMAINS = (
 
 # dispatch result: (status, JSON payload or pre-encoded body bytes, extra headers)
 _Reply = Tuple[int, Union[Dict[str, Any], bytes], Dict[str, str]]
+# what a compile body keys to: (fingerprint, shard, strategy)
+_Keys = Tuple[str, str, str]
 
 
 class _EnvelopeCache:
@@ -212,7 +220,8 @@ class CompileServer:
             ``504 timeout`` (the compile keeps running server-side).
         drain_timeout: seconds shutdown waits for in-flight requests.
         envelope_cache_entries: LRU cap of the encoded-envelope cache
-            (pre-serialized warm-hit response bodies); ``0`` disables it.
+            (pre-serialized warm-hit response bodies) and of the
+            body-digest key cache in front of it; ``0`` disables both.
         request_log: structured JSONL request log — a path string, an
             existing :class:`~repro.service.reqlog.RequestLog`, or
             ``None`` to honour ``$CAQR_REQUEST_LOG`` (no logging when
@@ -270,6 +279,11 @@ class CompileServer:
             _EnvelopeCache(envelope_cache_entries)
             if envelope_cache_entries
             else None
+        )
+        # sha256(compile body) -> its keys, so a repeat body reaches its
+        # envelope without a decode; sized with the envelope cache it feeds
+        self._body_keys = (
+            BodyKeyCache(envelope_cache_entries) if envelope_cache_entries else None
         )
         if isinstance(request_log, RequestLog):
             self._request_log: Optional[RequestLog] = request_log
@@ -668,6 +682,7 @@ class CompileServer:
         }
         if self._envelope is not None:
             extra["envelope_entries"] = float(len(self._envelope))
+            extra["key_cache_entries"] = float(len(self._body_keys))
         body = render_prometheus(snapshot, extra_gauges=extra)
         # engine stats carried by server-side cold compiles, one prefix
         # per domain (caqr_route_*, caqr_sim_*, caqr_reuse_eval_*)
@@ -696,14 +711,18 @@ class CompileServer:
     # -- compile endpoints -----------------------------------------------------
 
     async def _handle_compile(self, body: bytes, cache_only: bool = False) -> _Reply:
-        request = request_from_wire(self._json_body(body))
+        digest, known = self._known_body(body)
         if cache_only:
             # gateway peer-fill probe: warm envelope or 404, never a
             # compile (and never an admission slot — this is a lookup)
-            outcome, reply = await self._offload(self._cache_only_encoded, request)
+            outcome, reply = await self._offload(
+                self._cache_only_encoded, body, known
+            )
             if outcome is None:
                 return reply
-            encoded, key = outcome
+            encoded, keys = outcome
+            self._remember_body(digest, known, keys)
+            key, _, strategy = keys
             if encoded is None:
                 self.stats.count("cache_only_misses")
                 return (
@@ -718,87 +737,137 @@ class CompileServer:
                 {
                     "X-CaQR-Fingerprint": key,
                     "X-CaQR-Cache": "hit",
-                    "X-CaQR-Strategy": request.strategy,
+                    "X-CaQR-Strategy": strategy,
                 },
             )
         admitted, reply = self._admit()
         if not admitted:
             return reply
         try:
-            outcome, reply = await self._offload(self._compile_encoded, request)
+            outcome, reply = await self._offload(self._compile_encoded, body, known)
             if outcome is None:
                 return reply
-            encoded, key, status = outcome
+            encoded, status, keys = outcome
         finally:
             self._active_compiles -= 1
+        self._remember_body(digest, known, keys)
+        key, _, strategy = keys
         headers = {
             "X-CaQR-Fingerprint": key,
             "X-CaQR-Cache": status,
-            "X-CaQR-Strategy": request.strategy,
+            "X-CaQR-Strategy": strategy,
         }
         return 200, encoded, headers
 
-    def _cache_only_encoded(self, request) -> Tuple[Optional[bytes], str]:
-        """Worker-thread cache probe: ``(encoded hit body | None, key)``."""
+    def _known_body(self, body: bytes) -> Tuple[Optional[str], Optional[_Keys]]:
+        """``(body digest, keys of a body seen before or None)``."""
+        if self._body_keys is None:
+            return None, None
+        digest, known = self._body_keys.get(body)
+        self.stats.count("key_cache_hits" if known is not None else "key_cache_misses")
+        return digest, known
+
+    def _remember_body(
+        self, digest: Optional[str], known: Optional[_Keys], keys: _Keys
+    ) -> None:
+        # filled only after a full decode succeeded on a first-seen body
+        if known is None and self._body_keys is not None:
+            self._body_keys.put(digest, keys)
+
+    def _decode(self, body: bytes) -> Tuple[CompileRequest, _Keys]:
+        """Worker-thread decode of a compile body and its keys."""
+        request = request_from_wire(self._json_body(body))
         with self.stats.timed("fingerprint"):
-            key = request.fingerprint()
-        shard = request.shard()
+            key, shard = request.keys()
+        return request, (key, shard, request.strategy)
+
+    def _envelope_hit(self, key: str, shard: str) -> Optional[bytes]:
+        """The encoded envelope for *key* while its cache entry lives."""
         envelope = self._envelope
-        if envelope is not None:
-            body = envelope.get(key)
-            if body is not None:
-                if self.service.cache.get(key, shard) is not None:
-                    return body, key
-                envelope.invalidate(key)
+        if envelope is None:
+            return None
+        body = envelope.get(key)
+        if body is None:
+            return None
+        # the envelope is only as alive as the cache entry behind it
+        # (TTL expiry, invalidation, clear)
+        if self.service.cache.get(key, shard) is not None:
+            return body
+        envelope.invalidate(key)
+        return None
+
+    def _cache_only_encoded(
+        self, body: bytes, known: Optional[_Keys]
+    ) -> Tuple[Optional[bytes], _Keys]:
+        """Worker-thread cache probe: ``(encoded hit body | None, keys)``."""
+        keys = known if known is not None else self._decode(body)[1]
+        key, shard, _ = keys
+        encoded = self._envelope_hit(key, shard)
+        if encoded is not None:
+            return encoded, keys
         entry = self.service._lookup_entry(key, shard)
         if entry is None:
-            return None, key
-        _, report = entry
+            return None, keys
         with self.stats.timed("serialize"):
-            body = json.dumps(response_to_wire(key, "hit", report)).encode()
-        if envelope is not None:
-            envelope.put(key, body)
-        return body, key
+            encoded = json.dumps(response_to_wire(key, "hit", entry[1])).encode()
+        if self._envelope is not None:
+            self._envelope.put(key, encoded)
+        return encoded, keys
 
-    def _compile_encoded(self, request) -> Tuple[bytes, str, str]:
-        """Worker-thread compile returning the encoded response body.
+    def _compile_encoded(
+        self, body: bytes, known: Optional[_Keys]
+    ) -> Tuple[bytes, str, _Keys]:
+        """Worker-thread compile: ``(encoded response body, status, keys)``.
 
         Warm path: a cached envelope whose underlying cache entry still
         exists is returned as raw bytes — no ``report_to_dict``, no JSON
-        encoding, no report deserialization at all (``envelope_hits``).
-        Otherwise the request runs through ``compile_classified`` and a
-        genuine hit's body is stored for the next repeat.
+        encoding, no report deserialization at all (``envelope_hits``);
+        for a body seen before (*known* keys) not even the request is
+        decoded.  Otherwise the request runs through
+        ``compile_classified`` and a genuine hit's body is stored for
+        the next repeat.
         """
-        envelope = self._envelope
-        key: Optional[str] = None
-        if envelope is not None:
-            with self.stats.timed("fingerprint"):
-                key = request.fingerprint()
-            body = envelope.get(key)
-            if body is not None:
-                # the envelope is only as alive as the cache entry
-                # behind it (TTL expiry, invalidation, clear)
-                if self.service.cache.get(key, request.shard()) is not None:
-                    self.stats.count("requests")
-                    self.stats.count("hits")
-                    self.stats.count("envelope_hits")
-                    return body, key, "hit"
-                envelope.invalidate(key)
+        request: Optional[CompileRequest] = None
+        keys = known
+        if keys is None:
+            request, keys = self._decode(body)
+        key, shard, _ = keys
+        encoded = self._envelope_hit(key, shard)
+        if encoded is not None:
+            self.stats.count("requests")
+            self.stats.count("hits")
+            self.stats.count("envelope_hits")
+            return encoded, "hit", keys
+        if request is None:
+            request = request_from_wire(self._json_body(body))
         report, key, status = self.service.compile_classified(
-            request, fingerprint=key
+            request, keys=(key, shard)
         )
         if status == "miss":
             self._absorb_report_stats(report)
         with self.stats.timed("serialize"):
-            body = json.dumps(response_to_wire(key, status, report)).encode()
-        if envelope is not None and status == "hit":
+            encoded = json.dumps(response_to_wire(key, status, report)).encode()
+        if self._envelope is not None and status == "hit":
             # store only genuine-hit bodies: they are exactly what the
             # fast path must replay, from_cache flag included
-            envelope.put(key, body)
+            self._envelope.put(key, encoded)
             self.stats.count("envelope_stores")
-        return body, key, status
+        return encoded, status, keys
 
     async def _handle_batch(self, body: bytes) -> _Reply:
+        admitted, reply = self._admit()
+        if not admitted:
+            return reply
+        try:
+            outcome, reply = await self._offload(self._batch_encoded, body)
+            if outcome is None:
+                return reply
+        finally:
+            self._active_compiles -= 1
+        return 200, outcome, {}
+
+    def _batch_encoded(self, body: bytes) -> bytes:
+        """Worker-thread batch: decode, compile and encode every member."""
         payload = self._json_body(body)
         if not isinstance(payload, dict):
             raise WireError("batch envelope must be a JSON object")
@@ -810,27 +879,21 @@ class CompileServer:
         if not isinstance(members, list):
             raise WireError("batch envelope needs a requests list")
         requests = [request_from_wire(member) for member in members]
-        parallel = bool(payload.get("parallel", True))
-        admitted, reply = self._admit()
-        if not admitted:
-            return reply
-        try:
-            outcome, reply = await self._offload(
-                self.service.compile_batch, requests, parallel
-            )
-            if outcome is None:
-                return reply
-        finally:
-            self._active_compiles -= 1
+        with self.stats.timed("fingerprint"):
+            keys = [request.keys() for request in requests]
+        reports = self.service.compile_batch(
+            requests, bool(payload.get("parallel", True)), keys=keys
+        )
         results = []
-        for request, report in zip(requests, outcome):
+        for (key, _), report in zip(keys, reports):
             status = "hit" if report.from_cache else "miss"
             if status == "miss":
                 self._absorb_report_stats(report)
-            results.append(
-                response_to_wire(request.fingerprint(), status, report)
-            )
-        return 200, {"schema": WIRE_SCHEMA_VERSION, "results": results}, {}
+            results.append(response_to_wire(key, status, report))
+        with self.stats.timed("serialize"):
+            return json.dumps(
+                {"schema": WIRE_SCHEMA_VERSION, "results": results}
+            ).encode()
 
     def _admit(self) -> Tuple[bool, Optional[_Reply]]:
         """Admission control: one slot per compile/batch request."""
@@ -870,6 +933,8 @@ class CompileServer:
                 ),
                 {},
             )
+        except WireError:
+            raise  # a malformed envelope decoded off-loop: 400, not 422
         except ReproError as exc:
             # deterministic compiler rejection (e.g. infeasible budget)
             return None, (422, error_to_wire("compile_error", str(exc)), {})

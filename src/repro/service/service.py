@@ -100,18 +100,7 @@ class CompileRequest:
 
     def fingerprint(self) -> str:
         """The content-addressed cache key for this request."""
-        return request_fingerprint(
-            self.target,
-            backend=self.backend,
-            mode=self.mode,
-            qubit_limit=self.qubit_limit,
-            reset_style=self.reset_style,
-            seed=self.seed,
-            auto_commuting=self.auto_commuting,
-            strategy=self.strategy,
-            objective=self.objective,
-            calib_bands=self.calib_bands,
-        )
+        return self.keys()[0]
 
     def shard(self) -> str:
         """The disk-cache shard this request's entry lives in.
@@ -124,8 +113,32 @@ class CompileRequest:
         banding also keeps in-band drift from re-homing keys across
         servers.
         """
-        digest = banded_backend_digest(self.backend, self.resolved_calib_bands())
-        return digest[:16] if digest else DEFAULT_SHARD
+        return _shard_of(
+            banded_backend_digest(self.backend, self.resolved_calib_bands())
+        )
+
+    def keys(self) -> Tuple[str, str]:
+        """``(fingerprint(), shard())`` from a single backend digest."""
+        bands = self.resolved_calib_bands()
+        digest = banded_backend_digest(self.backend, bands)
+        fingerprint = request_fingerprint(
+            self.target,
+            mode=self.mode,
+            qubit_limit=self.qubit_limit,
+            reset_style=self.reset_style,
+            seed=self.seed,
+            auto_commuting=self.auto_commuting,
+            strategy=self.strategy,
+            objective=self.objective,
+            # already resolved: 0 keeps the environment out of it
+            calib_bands=bands or 0,
+            backend_hash=digest,
+        )
+        return fingerprint, _shard_of(digest)
+
+
+def _shard_of(backend_hash: Optional[str]) -> str:
+    return backend_hash[:16] if backend_hash else DEFAULT_SHARD
 
 
 def _cold_compile(request: CompileRequest, allow_parallel: bool) -> CompileReport:
@@ -279,7 +292,7 @@ class CompileService:
         return self.compile_classified(request)[0]
 
     def compile_classified(
-        self, request: CompileRequest, fingerprint: Optional[str] = None
+        self, request: CompileRequest, keys: Optional[Tuple[str, str]] = None
     ) -> Tuple[CompileReport, str, str]:
         """Serve one request, returning ``(report, fingerprint, status)``.
 
@@ -287,17 +300,15 @@ class CompileService:
         tier), ``"inflight"`` (joined an identical compilation another
         request started), or ``"miss"`` (this request paid for the cold
         compile).  The HTTP server forwards it as the ``X-CaQR-Cache``
-        header.  Callers that already derived the fingerprint (the
-        server's envelope fast path) pass it to skip re-hashing.
+        header.  Callers that already derived ``request.keys()`` (the
+        HTTP server) pass them as *keys* to skip re-hashing.
         """
         stats = self.stats
         stats.count("requests")
-        if fingerprint is not None:
-            key = fingerprint
-        else:
+        if keys is None:
             with stats.timed("fingerprint"):
-                key = request.fingerprint()
-        shard = request.shard()
+                keys = request.keys()
+        key, shard = keys
         report = self._lookup(key, shard, request.resolved_calib_bands())
         if report is not None:
             stats.count("hits")
@@ -329,13 +340,15 @@ class CompileService:
         requests: Sequence[CompileRequest],
         parallel: bool = True,
         max_workers: Optional[int] = None,
+        keys: Optional[Sequence[Tuple[str, str]]] = None,
     ) -> List[CompileReport]:
         """Compile many requests; results come back in input order.
 
         Identical members (same fingerprint) are folded to one
         compilation; cache-warm keys are served without compiling; the
         remaining cold keys fan out over a process pool when *parallel*
-        and more than one key is cold.
+        and more than one key is cold.  *keys* are the members'
+        precomputed ``request.keys()``, in input order.
         """
         stats = self.stats
         for request in requests:
@@ -347,14 +360,15 @@ class CompileService:
         stats.count("batch_calls")
         stats.count("batch_requests", len(requests))
         stats.count("requests", len(requests))
-        with stats.timed("fingerprint"):
-            keys = [request.fingerprint() for request in requests]
+        if keys is None:
+            with stats.timed("fingerprint"):
+                keys = [request.keys() for request in requests]
+        shards = dict(keys)
         unique: Dict[str, CompileRequest] = {}
-        for key, request in zip(keys, requests):
+        for (key, _), request in zip(keys, requests):
             unique.setdefault(key, request)
         stats.count("batch_unique", len(unique))
         stats.count("dedup_folds", len(requests) - len(unique))
-        shards = {key: request.shard() for key, request in unique.items()}
 
         texts: Dict[str, str] = {}
         fresh: set = set()
@@ -425,7 +439,7 @@ class CompileService:
 
         results: List[CompileReport] = []
         first_fresh_seen: set = set()
-        for key in keys:
+        for key, _ in keys:
             with stats.timed("deserialize"):
                 report = loads_entry(texts[key], key)
             if key in fresh and key not in first_fresh_seen:

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.exceptions import HardwareError
-from repro.hardware import ibm_mumbai, generic_backend, line
+from repro.hardware import drift_series, ibm_mumbai, generic_backend, line
 from repro.hardware.serialization import (
+    backend_from_dict,
     backend_from_json,
+    backend_to_dict,
     backend_to_json,
     calibration_from_dict,
     calibration_to_dict,
@@ -67,3 +69,39 @@ class TestBackendRoundtrip:
         del payload["edges"]
         with pytest.raises(HardwareError):
             backend_from_json(json.dumps(payload))
+
+
+class TestBackendDict:
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_dict_is_the_parsed_json(self, index):
+        # the wire ships backend_to_dict; it must carry exactly what the
+        # JSON text (and so every digest) carries
+        backend = drift_series(ibm_mumbai(), 3, volatility=0.05, seed=4)[index]
+        record = backend_to_dict(backend)
+        assert record == json.loads(backend_to_json(backend))
+        assert backend_to_json(backend) == json.dumps(
+            record, indent=2, sort_keys=True
+        )
+
+    def test_roundtrip(self):
+        original = ibm_mumbai()
+        restored = backend_from_dict(backend_to_dict(original))
+        assert backend_to_json(restored) == backend_to_json(original)
+
+    def test_record_is_not_shared(self):
+        backend = ibm_mumbai()
+        record = backend_to_dict(backend)
+        record["calibration"]["cx_error"].clear()
+        assert backend_to_dict(backend)["calibration"]["cx_error"]
+
+    def test_malformed_rejected(self):
+        with pytest.raises(HardwareError):
+            backend_from_dict(["not", "a", "dict"])
+        record = backend_to_dict(ibm_mumbai())
+        record["version"] = 99
+        with pytest.raises(HardwareError):
+            backend_from_dict(record)
+        record = backend_to_dict(ibm_mumbai())
+        del record["num_qubits"]
+        with pytest.raises(HardwareError):
+            backend_from_dict(record)

@@ -17,6 +17,7 @@ from repro.service import (
     request_fingerprint,
     resolve_calib_bands,
 )
+from repro.service.service import CompileRequest
 from repro.workloads import bv_circuit, random_graph
 
 
@@ -261,3 +262,61 @@ class TestRequestFingerprint:
         explicit = request_fingerprint(circuit, backend, calib_bands=2)
         monkeypatch.setenv(CALIB_BANDS_ENV, "2")
         assert request_fingerprint(circuit, backend) == explicit
+
+
+class TestGoldenDigests:
+    """Pinned values: a changed digest re-keys every disk cache and the ring."""
+
+    def test_backend_digest(self):
+        assert backend_digest(ibm_mumbai()) == (
+            "cc0ca4d08ede797841de58d2b54f6a72c4c4306e9d4b1418c4f230553924ee36"
+        )
+
+    def test_banded_backend_digest(self):
+        assert banded_backend_digest(ibm_mumbai(), 2) == (
+            "5c37427477e08e44480c075da7123dc45d3ded2632d389b6788d6a60b7934a73"
+        )
+
+    @pytest.mark.parametrize(
+        "bands, expected",
+        [
+            (2, "b878c61aa6d89e83bc1762309ea3b6d193aaf86548dfe43645b8e222c65ede70"),
+            (0, "91f16000f723f012940b7f83068c8287d2fb8b2fd157bfa9fa4dca5380093d06"),
+        ],
+    )
+    def test_request_fingerprint(self, bands, expected):
+        assert (
+            request_fingerprint(bv_circuit(16), ibm_mumbai(), calib_bands=bands)
+            == expected
+        )
+        request = CompileRequest(bv_circuit(16), ibm_mumbai(), calib_bands=bands)
+        assert request.keys() == (expected, request.shard())
+
+
+class TestRequestKeys:
+    @pytest.mark.parametrize("bands", [None, 0, 2, 4])
+    def test_keys_match_fingerprint_and_shard(self, bands, monkeypatch):
+        monkeypatch.setenv(CALIB_BANDS_ENV, "3")
+        for target in (bv_circuit(6), random_graph(6, 0.4, seed=3)):
+            for backend in (None, ibm_mumbai()):
+                request = CompileRequest(
+                    target, backend, mode="min_swap", calib_bands=bands
+                )
+                assert request.keys() == (request.fingerprint(), request.shard())
+                assert request.keys()[0] == request_fingerprint(
+                    target, backend, mode="min_swap", calib_bands=bands
+                )
+
+    def test_one_backend_digest_per_call(self, monkeypatch):
+        import repro.service.service as service_module
+
+        calls = []
+        real = service_module.banded_backend_digest
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "banded_backend_digest", counted)
+        CompileRequest(bv_circuit(5), ibm_mumbai(), calib_bands=2).keys()
+        assert len(calls) == 1

@@ -356,6 +356,13 @@ class TestMetricsEndpoint:
         assert sample_value(samples, "caqr_hits_total") == 2
         assert sample_value(samples, "caqr_envelope_stores_total") >= 1
         assert sample_value(samples, "caqr_envelope_hits_total") >= 1
+        # one body, sent three times: decoded once, then keyed by its sha256
+        assert sample_value(samples, "caqr_key_cache_misses_total") == 1
+        assert sample_value(samples, "caqr_key_cache_hits_total") == 2
+        assert sample_value(samples, "caqr_key_cache_entries") == 1
+        counters = client.stats()["stats"]["counters"]
+        assert counters["key_cache_misses"] == 1
+        assert counters["key_cache_hits"] == 2
         assert sample_value(samples, "caqr_uptime_seconds") > 0
         assert types["caqr_request_latency_seconds"] == "histogram"
         compiles = sample_value(
