@@ -232,6 +232,9 @@ def caqr_compile(
             if ephemeral_service is not None:
                 # a one-call service must not leak its worker pool
                 ephemeral_service.close()
+    # caqr_compile's ``parallel`` means "allow": map it onto the routers'
+    # tri-state knob (None = auto-detect, False = serial)
+    route_parallel = None if parallel else False
     if strategy == "chain":
         return _chain_compile(
             target,
@@ -241,6 +244,7 @@ def caqr_compile(
             reset_style=reset_style,
             seed=seed,
             objective=objective,
+            parallel=route_parallel,
         )
     angles = None
     if (
@@ -263,9 +267,6 @@ def caqr_compile(
     if mode == "min_swap":
         if backend is None:
             raise ReuseError("min_swap mode needs a backend")
-        # caqr_compile's ``parallel`` means "allow": map it onto the SR
-        # router's tri-state knob (None = auto-detect, False = serial)
-        sr_parallel = None if parallel else False
         if is_graph:
             sr_kwargs = {}
             if angles is not None:
@@ -274,7 +275,7 @@ def caqr_compile(
                 backend,
                 reset_style=reset_style,
                 incremental=incremental,
-                parallel=sr_parallel,
+                parallel=route_parallel,
                 **sr_kwargs,
             )
             result = sr.run(target, qubit_limit=qubit_limit)
@@ -286,12 +287,12 @@ def caqr_compile(
                 backend,
                 reset_style=reset_style,
                 incremental=incremental,
-                parallel=sr_parallel,
+                parallel=route_parallel,
             )
             compiled = sr.run(target).circuit
             route_stats = sr.stats
             original_width = target.num_qubits
-        baseline = _baseline_metrics(target, backend, seed, angles)
+        baseline = _baseline_metrics(target, backend, seed, angles, route_parallel)
         eval_stats = ReuseEvalStats()
         sweep = _sweep(target, None, reset_style, seed,
                        incremental=incremental, parallel=parallel,
@@ -340,7 +341,10 @@ def caqr_compile(
             )
         logical = point.circuit
         compiled = (
-            transpile(logical, backend, optimization_level=3, seed=seed).circuit
+            transpile(
+                logical, backend, optimization_level=3, seed=seed,
+                parallel=route_parallel,
+            ).circuit
             if backend is not None
             else logical
         )
@@ -353,7 +357,9 @@ def caqr_compile(
             metrics=collect_metrics(
                 compiled, backend.calibration if backend else None
             ),
-            baseline_metrics=_baseline_metrics(target, backend, seed, angles),
+            baseline_metrics=_baseline_metrics(
+                target, backend, seed, angles, route_parallel
+            ),
             reuse_beneficial=assess_reuse_benefit(sweep).beneficial,
             qubit_saving=1.0 - point.qubits / original_width,
             eval_stats=eval_stats,
@@ -376,7 +382,9 @@ def caqr_compile(
         metrics=collect_metrics(
             point.circuit, backend.calibration if backend else None
         ),
-        baseline_metrics=_baseline_metrics(target, backend, seed, angles),
+        baseline_metrics=_baseline_metrics(
+            target, backend, seed, angles, route_parallel
+        ),
         reuse_beneficial=assess_reuse_benefit(sweep).beneficial,
         qubit_saving=1.0 - point.qubits / original_width,
         eval_stats=eval_stats,
@@ -398,6 +406,7 @@ def _chain_compile(
     reset_style,
     seed,
     objective,
+    parallel=None,
 ) -> CompileReport:
     """The ``strategy="chain"`` pipeline: beam-searched reuse chains.
 
@@ -442,7 +451,9 @@ def _chain_compile(
         )
     logical = result.circuit
     compiled = (
-        transpile(logical, backend, optimization_level=3, seed=seed).circuit
+        transpile(
+            logical, backend, optimization_level=3, seed=seed, parallel=parallel
+        ).circuit
         if backend is not None
         else logical
     )
@@ -453,7 +464,7 @@ def _chain_compile(
         circuit=compiled,
         mode=mode,
         metrics=metrics,
-        baseline_metrics=_baseline_metrics(target, backend, seed),
+        baseline_metrics=_baseline_metrics(target, backend, seed, parallel=parallel),
         reuse_beneficial=bool(result.pairs),
         qubit_saving=1.0 - result.qubits / target.num_qubits,
         sim_stats=_esp_stats(compiled, backend),
@@ -508,7 +519,9 @@ def _esp_stats(circuit, backend) -> Optional[SimStats]:
     return stats
 
 
-def _baseline_metrics(target, backend, seed, angles=None) -> Optional[CircuitMetrics]:
+def _baseline_metrics(
+    target, backend, seed, angles=None, parallel=None
+) -> Optional[CircuitMetrics]:
     if backend is None:
         return None
     if isinstance(target, nx.Graph):
@@ -522,5 +535,7 @@ def _baseline_metrics(target, backend, seed, angles=None) -> Optional[CircuitMet
             circuit = qaoa_maxcut_circuit(target)
     else:
         circuit = target
-    compiled = transpile(circuit, backend, optimization_level=3, seed=seed)
+    compiled = transpile(
+        circuit, backend, optimization_level=3, seed=seed, parallel=parallel
+    )
     return collect_metrics(compiled.circuit, backend.calibration)

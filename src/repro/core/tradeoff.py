@@ -50,8 +50,15 @@ class TradeoffPoint:
     two_qubit_count: Optional[int] = None
 
 
-def _compile_point(point: TradeoffPoint, backend: Backend, seed: int) -> TradeoffPoint:
-    result = transpile(point.circuit, backend, optimization_level=3, seed=seed)
+def _compile_point(
+    point: TradeoffPoint,
+    backend: Backend,
+    seed: int,
+    parallel: Optional[bool] = None,
+) -> TradeoffPoint:
+    result = transpile(
+        point.circuit, backend, optimization_level=3, seed=seed, parallel=parallel
+    )
     point.compiled_depth = result.depth
     point.compiled_duration_dt = result.duration_dt
     point.swap_count = result.swap_count
@@ -74,7 +81,8 @@ def sweep_regular(
     Returns one point per achievable qubit count, original width first.
     ``incremental``/``parallel`` select the evaluation engine (see
     :class:`~repro.core.qs_caqr.QSCaQR`); both engines yield the same
-    points.  *stats* is an optional
+    points.  ``parallel=False`` also keeps the per-point SABRE layout
+    search in-process.  *stats* is an optional
     :class:`~repro.core.profile.ReuseEvalStats` sink the sweep's engine
     counters/timers are folded into.
     """
@@ -93,7 +101,7 @@ def sweep_regular(
             circuit=result.circuit,
         )
         if backend is not None:
-            _compile_point(point, backend, seed)
+            _compile_point(point, backend, seed, None if parallel else False)
         points.append(point)
     if stats is not None:
         stats.merge(compiler.stats)
@@ -145,7 +153,7 @@ def sweep_commuting(
             circuit=result.circuit,
         )
         if backend is not None:
-            _compile_point(point, backend, seed)
+            _compile_point(point, backend, seed, None if parallel else False)
         points.append(point)
     if stats is not None:
         stats.merge(compiler.stats)

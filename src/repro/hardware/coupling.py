@@ -30,6 +30,8 @@ class CouplingMap:
         for a, b in edges:
             self.add_edge(a, b)
         self._distance: Optional[np.ndarray] = None
+        self._distance_rows: Optional[List[List[int]]] = None
+        self._neighbor_lists: Optional[List[List[int]]] = None
 
     def add_edge(self, a: int, b: int) -> None:
         """Register the undirected link (a, b)."""
@@ -42,6 +44,8 @@ class CouplingMap:
         self._adjacency[b].add(a)
         self._edges.add(frozenset((a, b)))
         self._distance = None
+        self._distance_rows = None
+        self._neighbor_lists = None
 
     # -- queries ----------------------------------------------------------------
 
@@ -112,6 +116,26 @@ class CouplingMap:
             matrix.setflags(write=False)
             self._distance = matrix
         return self._distance
+
+    def distance_rows(self) -> List[List[int]]:
+        """:meth:`distance_matrix` as cached nested Python lists.
+
+        Scalar kernels that read a handful of entries per call index
+        these far faster than the ndarray.  Shared and cached like the
+        matrix: treat as read-only.
+        """
+        if self._distance_rows is None:
+            self._distance_rows = self.distance_matrix().tolist()
+        return self._distance_rows
+
+    def neighbor_lists(self) -> List[List[int]]:
+        """Each qubit's :meth:`neighbors`, as cached lists in the same
+        iteration order.  Shared: treat as read-only."""
+        if self._neighbor_lists is None:
+            self._neighbor_lists = [
+                list(self.neighbors(q)) for q in range(self.num_qubits)
+            ]
+        return self._neighbor_lists
 
     def shortest_path(self, a: int, b: int) -> List[int]:
         """One hop-minimal path from *a* to *b* inclusive."""

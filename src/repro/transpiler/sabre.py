@@ -10,13 +10,21 @@ layer's distance sum with a look-ahead window of upcoming gates, and decay
 factors that discourage thrashing a single qubit.  A stall-escape fallback
 routes the oldest front gate along a shortest path if the heuristic loops.
 
-Swap-candidate scoring is vectorised over the candidate set with numpy
-against the shared read-only :meth:`CouplingMap.distance_matrix`, and
+One layout search pays its fixed costs once: the circuit and its reverse
+are flattened into a :class:`_RoutingPlan` each, and every pass of every
+trial routes those plans.  Trial passes only need a final layout and a
+swap count, so they route count-only, without building an output circuit.
+Candidate swaps are scored in plain Python over cached distance rows: a
+round has only a handful of candidates and about ``_EXTENDED_SET_SIZE``
+look-ahead gates, where numpy's per-call cost outweighs the arithmetic.
+The scores are bit-identical to the numpy kernel this replaced — integer
+distance sums are exact and the float expression keeps its operation
+order — and candidates are scored in set-iteration order with the same
+RNG tie-break stream.
+
 :func:`sabre_layout` can fan its independent trials out to a process pool
-(``parallel=`` / ``CAQR_ROUTE_WORKERS``).  Both paths are bit-identical to
-the serial scalar implementation: candidates are scored in set-iteration
-order with the same RNG tie-break stream, and layout trials pre-draw their
-RNG material serially so the winning layout never depends on worker timing
+(``parallel=`` / ``CAQR_ROUTE_WORKERS``); layout trials pre-draw their RNG
+material serially so the winning layout never depends on worker timing
 (see ``docs/ROUTER.md``).
 """
 
@@ -26,8 +34,6 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
@@ -87,6 +93,235 @@ def _requires_routing(instruction: Instruction) -> bool:
     )
 
 
+def _check_width(circuit: QuantumCircuit, coupling: CouplingMap) -> None:
+    if circuit.num_qubits > coupling.num_qubits:
+        raise TranspilerError(
+            f"{circuit.num_qubits} logical qubits exceed device size "
+            f"{coupling.num_qubits}"
+        )
+
+
+class _RoutingPlan:
+    """A circuit's dependency DAG flattened into lists, built once and
+    routed many times (layout trials ship it to pool workers).
+
+    Node *i* is ``circuit.data[i]``.  ``successors`` keeps the DAG's own
+    set-iteration order, so the front layer evolves exactly as it does
+    when walking the :class:`DAGCircuit`; ``sorted_successors`` feeds the
+    look-ahead window.
+    """
+
+    def __init__(self, circuit: QuantumCircuit):
+        for instruction in circuit.data:
+            if len(instruction.qubits) > 2 and not instruction.is_directive():
+                raise TranspilerError(
+                    f"sabre_route needs <=2-qubit gates, got {instruction.name}"
+                )
+        dag = DAGCircuit.from_circuit(circuit)
+        self.num_qubits = circuit.num_qubits
+        self.num_clbits = circuit.num_clbits
+        self.name = circuit.name
+        self.instructions = list(circuit.data)
+        self.qubits = [instruction.qubits for instruction in self.instructions]
+        self.routed = [_requires_routing(ins) for ins in self.instructions]
+        nodes = range(len(self.instructions))
+        self.successors = [list(dag.successors(node)) for node in nodes]
+        self.sorted_successors = [sorted(successors) for successors in self.successors]
+        self.in_degree = [dag.in_degree(node) for node in nodes]
+
+
+def _unmapped(qubits: Sequence[int], l2p: List[Optional[int]]) -> None:
+    """Raise :meth:`Layout.physical`'s error for the first unmapped qubit."""
+    for logical in qubits:
+        if l2p[logical] is None:
+            raise TranspilerError(f"logical qubit {logical} is not mapped")
+
+
+def _swapped_distance_sums(
+    pairs: List[Tuple[int, int]],
+    candidates: List[Tuple[int, int]],
+    distance: List[List[int]],
+) -> List[int]:
+    """Distance sum over the physical *pairs* after each candidate swap."""
+    sums = []
+    for a, b in candidates:
+        total = 0
+        for pa, pb in pairs:
+            if pa == a:
+                pa = b
+            elif pa == b:
+                pa = a
+            if pb == a:
+                pb = b
+            elif pb == b:
+                pb = a
+            total += distance[pa][pb]
+        sums.append(total)
+    return sums
+
+
+def _route(
+    plan: _RoutingPlan,
+    coupling: CouplingMap,
+    layout: Layout,
+    seed: int,
+    stats: Optional[RouteStats],
+    out: Optional[QuantumCircuit] = None,
+) -> int:
+    """Route *plan* from *layout*, which ends as the final layout.
+
+    Emits the physical circuit into *out* when given; count-only passes
+    (``out=None``) build nothing.  Returns the number of inserted SWAPs.
+    """
+    rng = random.Random(seed)
+    l2p = layout._l2p  # read in place; every change goes through swap_physical
+    distance = coupling.distance_rows()
+    neighbors = coupling.neighbor_lists()
+    instructions = plan.instructions
+    qubits = plan.qubits
+    routed = plan.routed
+    successors = plan.successors
+    sorted_successors = plan.sorted_successors
+    in_degree = list(plan.in_degree)
+    front = [node for node, degree in enumerate(in_degree) if degree == 0]
+    unresolved = len(in_degree)
+    decay = [1.0] * coupling.num_qubits
+    swap_count = 0
+    stall = 0
+    iterations = 0
+    candidates_scored = 0
+    # the look-ahead window depends only on the front, not on the layout
+    extended: List[int] = []
+    front_changed = True
+
+    def _physical_pairs(nodes: List[int]) -> List[Tuple[int, int]]:
+        pairs = []
+        for node in nodes:
+            a, b = qubits[node]
+            pa, pb = l2p[a], l2p[b]
+            if pa is None or pb is None:
+                _unmapped((a, b), l2p)
+            pairs.append((pa, pb))
+        return pairs
+
+    while front or unresolved > 0:
+        iterations += 1
+        # 1. execute everything executable; the front keeps the waiting
+        # gates in order, then the newly ready ones in resolution order
+        progress = True
+        while progress:
+            progress = False
+            waiting: List[int] = []
+            ready: List[int] = []
+            for node in front:
+                if routed[node]:
+                    a, b = qubits[node]
+                    pa, pb = l2p[a], l2p[b]
+                    if pa is None or pb is None:
+                        _unmapped((a, b), l2p)
+                    if distance[pa][pb] != 1:
+                        waiting.append(node)
+                        continue
+                else:
+                    for logical in qubits[node]:
+                        if l2p[logical] is None:
+                            _unmapped(qubits[node], l2p)
+                if out is not None:
+                    out.append(instructions[node].remapped(layout.physical))
+                unresolved -= 1
+                for successor in successors[node]:
+                    in_degree[successor] -= 1
+                    if in_degree[successor] == 0:
+                        ready.append(successor)
+                progress = front_changed = True
+            waiting.extend(ready)
+            front = waiting
+        if not front:
+            if unresolved > 0:
+                raise TranspilerError("routing stalled with pending gates")
+            break
+
+        # every gate left in the front is a blocked two-qubit gate
+        blocked = front
+        stall += 1
+        if stall > _STALL_LIMIT:
+            # escape: route the oldest blocked gate directly
+            pa, pb = _physical_pairs(blocked[:1])[0]
+            path = coupling.shortest_path(pa, pb)
+            for step in range(len(path) - 2):
+                if out is not None:
+                    out.swap(path[step], path[step + 1])
+                layout.swap_physical(path[step], path[step + 1])
+                swap_count += 1
+            stall = 0
+            continue
+
+        # 2. look-ahead window: nearest routed descendants of the blocked
+        # gates, breadth first
+        if front_changed:
+            front_changed = False
+            extended = []
+            queue = list(blocked)
+            seen: Set[int] = set(queue)
+            head = 0
+            while head < len(queue) and len(extended) < _EXTENDED_SET_SIZE:
+                node = queue[head]
+                head += 1
+                for successor in sorted_successors[node]:
+                    if successor in seen:
+                        continue
+                    seen.add(successor)
+                    if routed[successor]:
+                        extended.append(successor)
+                    queue.append(successor)
+
+        # 3. score candidate swaps in set-iteration order, drawing one RNG
+        # tie-break per candidate in that order
+        front_pairs = _physical_pairs(blocked)
+        candidates: Set[Tuple[int, int]] = set()
+        for pair in front_pairs:
+            for physical in pair:
+                for neighbor in neighbors[physical]:
+                    candidates.add(
+                        (physical, neighbor) if physical < neighbor else (neighbor, physical)
+                    )
+        cand_list = list(candidates)
+        ties = [rng.random() for _ in cand_list]
+        extended_pairs = _physical_pairs(extended)
+        front_sums = _swapped_distance_sums(front_pairs, cand_list, distance)
+        extended_sums = _swapped_distance_sums(extended_pairs, cand_list, distance)
+        n_front = len(front_pairs)
+        n_extended = len(extended_pairs)
+        best_key = None
+        best = None
+        for index, (a, b) in enumerate(cand_list):
+            score = front_sums[index] / n_front
+            if n_extended:
+                score = score + _EXTENDED_SET_WEIGHT * extended_sums[index] / n_extended
+            score = max(decay[a], decay[b]) * score
+            key = (score, ties[index])
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (a, b)
+        candidates_scored += len(cand_list)
+
+        a, b = best
+        if out is not None:
+            out.swap(a, b)
+        layout.swap_physical(a, b)
+        swap_count += 1
+        decay[a] += _DECAY_INCREMENT
+        decay[b] += _DECAY_INCREMENT
+        if iterations % _DECAY_RESET_INTERVAL == 0:
+            decay = [1.0] * coupling.num_qubits
+
+    if stats is not None:
+        stats.count("route_calls")
+        stats.count("swap_candidates_scored", candidates_scored)
+        stats.count("swaps_inserted", swap_count)
+    return swap_count
+
+
 def sabre_route(
     circuit: QuantumCircuit,
     coupling: CouplingMap,
@@ -106,196 +341,38 @@ def sabre_route(
     Returns:
         A :class:`RoutingResult` whose circuit indexes *physical* qubits.
     """
-    for instruction in circuit.data:
-        if len(instruction.qubits) > 2 and not instruction.is_directive():
-            raise TranspilerError(
-                f"sabre_route needs <=2-qubit gates, got {instruction.name}"
-            )
-    if circuit.num_qubits > coupling.num_qubits:
-        raise TranspilerError(
-            f"{circuit.num_qubits} logical qubits exceed device size "
-            f"{coupling.num_qubits}"
-        )
-    rng = random.Random(seed)
+    plan = _RoutingPlan(circuit)
+    _check_width(circuit, coupling)
     layout = (initial_layout or trivial_layout(circuit.num_qubits, coupling.num_qubits)).copy()
     initial = layout.copy()
-    dag = DAGCircuit.from_circuit(circuit)
-    distance = coupling.distance_matrix()
-
-    in_degree = {node_id: dag.in_degree(node_id) for node_id in dag.nodes}
-    front: List[int] = [node_id for node_id, degree in in_degree.items() if degree == 0]
-    unresolved = len(in_degree)
     out = QuantumCircuit(coupling.num_qubits, circuit.num_clbits, circuit.name)
-    decay = np.ones(coupling.num_qubits, dtype=np.float64)
-    swap_count = 0
-    stall = 0
-    iterations = 0
-    candidates_scored = 0
-
-    def _physical_pair(node_id: int) -> Tuple[int, int]:
-        a, b = dag.nodes[node_id].instruction.qubits
-        return layout.physical(a), layout.physical(b)
-
-    def _emit(node_id: int) -> None:
-        instruction = dag.nodes[node_id].instruction
-        out.append(instruction.remapped(lambda q: layout.physical(q)))
-
-    def _resolve(node_id: int) -> None:
-        nonlocal unresolved
-        unresolved -= 1
-        for successor in dag.successors(node_id):
-            in_degree[successor] -= 1
-            if in_degree[successor] == 0:
-                front.append(successor)
-
-    def _extended_set(blocked: List[int]) -> List[int]:
-        """Look-ahead window: nearest descendants of the blocked gates."""
-        result: List[int] = []
-        queue = list(blocked)
-        seen: Set[int] = set(queue)
-        while queue and len(result) < _EXTENDED_SET_SIZE:
-            node_id = queue.pop(0)
-            for successor in sorted(dag.successors(node_id)):
-                if successor in seen:
-                    continue
-                seen.add(successor)
-                instruction = dag.nodes[successor].instruction
-                if instruction is not None and _requires_routing(instruction):
-                    result.append(successor)
-                queue.append(successor)
-        return result
-
-    def _swapped_distance_sums(
-        gates: List[int], a_col: np.ndarray, b_col: np.ndarray
-    ) -> np.ndarray:
-        """Front/look-ahead distance sum per candidate, after hypothetically
-        applying each candidate swap.  Integer sums are exact, so the order
-        of summation cannot perturb the serial scores."""
-        pairs = np.array([_physical_pair(node_id) for node_id in gates], dtype=np.int64)
-        pa = pairs[:, 0][None, :]
-        pb = pairs[:, 1][None, :]
-        pa = np.where(pa == a_col, b_col, np.where(pa == b_col, a_col, pa))
-        pb = np.where(pb == a_col, b_col, np.where(pb == b_col, a_col, pb))
-        return distance[pa, pb].sum(axis=1)
-
-    while front or unresolved > 0:
-        iterations += 1
-        # 1. execute everything executable
-        progress = True
-        while progress:
-            progress = False
-            for node_id in list(front):
-                instruction = dag.nodes[node_id].instruction
-                if instruction is None or not _requires_routing(instruction):
-                    front.remove(node_id)
-                    if instruction is not None:
-                        _emit(node_id)
-                    _resolve(node_id)
-                    progress = True
-                    continue
-                pa, pb = _physical_pair(node_id)
-                if coupling.are_adjacent(pa, pb):
-                    front.remove(node_id)
-                    _emit(node_id)
-                    _resolve(node_id)
-                    progress = True
-        if not front:
-            if unresolved > 0:
-                raise TranspilerError("routing stalled with pending gates")
-            break
-
-        blocked = [
-            node_id
-            for node_id in front
-            if dag.nodes[node_id].instruction is not None
-            and _requires_routing(dag.nodes[node_id].instruction)
-        ]
-        if not blocked:
-            continue
-
-        stall += 1
-        if stall > _STALL_LIMIT:
-            # escape: route the oldest blocked gate directly
-            node_id = blocked[0]
-            pa, pb = _physical_pair(node_id)
-            path = coupling.shortest_path(pa, pb)
-            for step in range(len(path) - 2):
-                out.swap(path[step], path[step + 1])
-                layout.swap_physical(path[step], path[step + 1])
-                swap_count += 1
-            stall = 0
-            continue
-
-        # 2. score candidate swaps (vectorised over the candidate set, in
-        # set-iteration order so the RNG tie-break stream matches the
-        # scalar reference implementation element for element)
-        extended = _extended_set(blocked)
-        candidates: Set[Tuple[int, int]] = set()
-        for node_id in blocked:
-            for physical in _physical_pair(node_id):
-                for neighbor in coupling.neighbors(physical):
-                    candidates.add(tuple(sorted((physical, neighbor))))
-
-        cand_list = list(candidates)
-        ties = [rng.random() for _ in cand_list]
-        cand = np.array(cand_list, dtype=np.int64)
-        a_col = cand[:, 0][:, None]
-        b_col = cand[:, 1][:, None]
-        scores = _swapped_distance_sums(blocked, a_col, b_col) / len(blocked)
-        if extended:
-            scores = scores + (
-                _EXTENDED_SET_WEIGHT
-                * _swapped_distance_sums(extended, a_col, b_col)
-                / len(extended)
-            )
-        scores = np.maximum(decay[cand[:, 0]], decay[cand[:, 1]]) * scores
-        candidates_scored += len(cand_list)
-
-        best_index = min(
-            range(len(cand_list)), key=lambda i: (scores[i], ties[i])
-        )
-        best = cand_list[best_index]
-        out.swap(*best)
-        layout.swap_physical(*best)
-        swap_count += 1
-        decay[best[0]] += _DECAY_INCREMENT
-        decay[best[1]] += _DECAY_INCREMENT
-        if iterations % _DECAY_RESET_INTERVAL == 0:
-            decay.fill(1.0)
-
-    if stats is not None:
-        stats.count("route_calls")
-        stats.count("swap_candidates_scored", candidates_scored)
-        stats.count("swaps_inserted", swap_count)
+    swap_count = _route(plan, coupling, layout, seed, stats, out)
     return RoutingResult(out, initial, layout, swap_count)
 
 
 def _layout_trial(
-    circuit: QuantumCircuit,
-    reverse: QuantumCircuit,
+    plan: _RoutingPlan,
+    reverse: _RoutingPlan,
     coupling: CouplingMap,
     iterations: int,
     physical_order: Sequence[int],
     seeds: Sequence[int],
 ) -> Tuple[Layout, int, RouteStats]:
     """One bidirectional layout trial, a pure function of its pre-drawn RNG
-    material (*physical_order* and the routing *seeds*)."""
+    material (*physical_order* and the routing *seeds*).  Its passes only
+    need final layouts and swap counts, so they route count-only."""
     stats = RouteStats()
-    layout = Layout(circuit.num_qubits, coupling.num_qubits)
-    for logical in range(circuit.num_qubits):
+    layout = Layout(plan.num_qubits, coupling.num_qubits)
+    for logical in range(plan.num_qubits):
         layout.assign(logical, physical_order[logical])
     position = 0
     for _ in range(iterations):
-        forward = sabre_route(
-            circuit, coupling, layout, seed=seeds[position], stats=stats
-        )
-        backward = sabre_route(
-            reverse, coupling, forward.final_layout, seed=seeds[position + 1], stats=stats
-        )
+        # each pass ends on the layout the next one starts from
+        _route(plan, coupling, layout, seeds[position], stats)
+        _route(reverse, coupling, layout, seeds[position + 1], stats)
         position += 2
-        layout = backward.final_layout
-    final = sabre_route(circuit, coupling, layout, seed=seeds[position], stats=stats)
-    return layout, final.swap_count, stats
+    swaps = _route(plan, coupling, layout.copy(), seeds[position], stats)
+    return layout, swaps, stats
 
 
 def _layout_trial_worker(payload):
@@ -331,12 +408,22 @@ def sabre_layout(
             trial are available.
         stats: optional :class:`RouteStats` sink (worker-side counters are
             merged back in).
+
+    Raises:
+        TranspilerError: for a circuit wider than the device, gates of
+            arity > 2, or ``trials < 1`` — before any RNG draw or pool.
     """
-    rng = random.Random(seed)
+    if trials < 1:
+        raise TranspilerError(f"sabre_layout needs at least one trial, got {trials}")
+    _check_width(circuit, coupling)
+    # both routing directions are planned once and shared by every pass
+    plan = _RoutingPlan(circuit)
     reverse = QuantumCircuit(circuit.num_qubits, circuit.num_clbits)
     for instruction in reversed(circuit.data):
-        reverse.append(instruction.copy())
+        reverse.append(instruction)
+    reverse_plan = _RoutingPlan(reverse)
 
+    rng = random.Random(seed)
     # pre-draw every trial's RNG material in the exact serial order
     trial_specs = []
     for _ in range(trials):
@@ -352,7 +439,7 @@ def sabre_layout(
     results: List[Tuple[Layout, int, RouteStats]]
     if use_parallel and trials > 1:
         payloads = [
-            (circuit, reverse, coupling, iterations, order, seeds)
+            (plan, reverse_plan, coupling, iterations, order, seeds)
             for order, seeds in trial_specs
         ]
         with ProcessPoolExecutor(max_workers=min(workers, trials)) as pool:
@@ -361,20 +448,18 @@ def sabre_layout(
             stats.count("parallel_trials", len(results))
     else:
         results = [
-            _layout_trial(circuit, reverse, coupling, iterations, order, seeds)
+            _layout_trial(plan, reverse_plan, coupling, iterations, order, seeds)
             for order, seeds in trial_specs
         ]
         if stats is not None:
             stats.count("serial_trials", len(results))
 
-    best_layout: Optional[Layout] = None
-    best_swaps = None
+    best_layout, best_swaps = results[0][0], results[0][1]
     for layout, trial_swaps, trial_stats in results:
         if stats is not None:
             stats.count("layout_trials")
             stats.merge(trial_stats)
-        if best_swaps is None or trial_swaps < best_swaps:
+        if trial_swaps < best_swaps:
             best_swaps = trial_swaps
             best_layout = layout
-    assert best_layout is not None
     return best_layout

@@ -69,3 +69,28 @@ class TestGraphTarget:
         report = caqr_compile(graph, backend=backend, mode="min_swap")
         assert report.baseline_metrics is not None
         assert report.metrics.swap_count <= report.baseline_metrics.swap_count + 2
+
+
+class TestSerialCompile:
+    """``parallel=False`` must keep every transpile's layout search
+    in-process, not only the SR router's."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mode": "min_depth"},
+            {"mode": "min_swap"},
+            {"mode": "qubit_budget", "qubit_limit": 2},
+            {"strategy": "chain"},
+        ],
+        ids=["min_depth", "min_swap", "qubit_budget", "chain"],
+    )
+    def test_no_layout_pool(self, kwargs, monkeypatch):
+        def _no_pool(*args, **kwargs):
+            raise AssertionError("serial compile forked a layout pool")
+
+        monkeypatch.setattr("repro.transpiler.sabre.ProcessPoolExecutor", _no_pool)
+        report = caqr_compile(
+            bv_circuit(16), backend=ibm_mumbai(), parallel=False, **kwargs
+        )
+        assert report.baseline_metrics is not None

@@ -119,3 +119,27 @@ class TestSabreLayout:
         layout = sabre_layout(circuit, coupling, seed=9, iterations=2, trials=2)
         result = sabre_route(circuit, coupling, layout, seed=9)
         assert_hardware_compliant(result.circuit, coupling)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_wider_than_device_raises_before_any_pool(self, parallel, monkeypatch):
+        def _no_pool(*args, **kwargs):
+            raise AssertionError("a rejected layout search must not fork")
+
+        monkeypatch.setattr(
+            "repro.transpiler.sabre.ProcessPoolExecutor", _no_pool
+        )
+        with pytest.raises(TranspilerError, match="exceed device size"):
+            sabre_layout(random_circuit(5, 10, seed=1), line(3), parallel=parallel)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_zero_trials_raises(self, parallel, monkeypatch):
+        def _no_pool(*args, **kwargs):
+            raise AssertionError("a rejected layout search must not fork")
+
+        monkeypatch.setattr(
+            "repro.transpiler.sabre.ProcessPoolExecutor", _no_pool
+        )
+        with pytest.raises(TranspilerError, match="at least one trial"):
+            sabre_layout(
+                random_circuit(3, 10, seed=1), line(3), trials=0, parallel=parallel
+            )
