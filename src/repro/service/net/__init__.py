@@ -4,16 +4,18 @@ Five modules, strictly layered:
 
 * :mod:`repro.service.net.wire` — schema-versioned JSON envelopes and
   typed error codes (shared vocabulary; imports neither peer);
-* :mod:`repro.service.net.http1` — minimal HTTP/1.1 framing shared by
-  everything asyncio-side (head parsing, response formatting, pooled
-  request/response round-trips);
-* :mod:`repro.service.net.server` — stdlib asyncio HTTP/1.1 server
-  fronting one :class:`~repro.service.service.CompileService`;
+* :mod:`repro.service.net.http1` — the one asyncio HTTP/1.1 host
+  (listener, keep-alive loop, dispatch, auth, drain, thread runner)
+  plus the framing everything asyncio-side shares (head parsing,
+  response formatting, pooled request/response round-trips);
+* :mod:`repro.service.net.server` — the host's compile routes, fronting
+  one :class:`~repro.service.service.CompileService`;
 * :mod:`repro.service.net.client` — blocking ``http.client`` client
   exposing the same compile surface as the local service;
-* :mod:`repro.service.net.gateway` — consistent-hash fleet gateway
-  routing the wire protocol across N servers with health-driven
-  membership, retry-on-next-replica, and peer cache fill.
+* :mod:`repro.service.net.gateway` — the host's fleet routes: a
+  consistent-hash gateway routing the wire protocol across N servers
+  with health-driven membership, retry-on-next-replica, and peer cache
+  fill.
 
 ``caqr_compile(cache="http://host:port")`` resolves to a
 :class:`RemoteCompileService` automatically (``https://`` works too);

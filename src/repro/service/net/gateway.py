@@ -39,25 +39,27 @@ here:
   ``marked_down``, ``ring_moves``) in the same Prometheus text format
   as the servers.
 
-Auth/TLS mirror the server: ``auth_token`` gates every gateway route
-except ``/v1/health``; the client's ``Authorization`` header is passed
-through to backends unless ``backend_token`` overrides it;
-``tls_cert``/``tls_key`` wrap the gateway listener, and ``https://``
-backend URLs are dialed with stdlib TLS (``backend_ca`` /
-``backend_tls_insecure`` control verification).
+The listener, keep-alive loop, dispatch, auth and drain are the same
+:class:`~repro.service.net.http1.HttpHost` the server runs on: bodies
+over ``DEFAULT_MAX_BODY`` answer ``413 payload_too_large`` unread, and
+SIGTERM lets in-flight proxied requests finish (up to
+``DEFAULT_DRAIN_TIMEOUT``) before the sockets close.  ``auth_token``
+gates every gateway route except ``/v1/health``; the client's
+``Authorization`` header is passed through to backends unless
+``backend_token`` overrides it; ``tls_cert``/``tls_key`` wrap the
+gateway listener, and ``https://`` backend URLs are dialed with stdlib
+TLS (``backend_ca`` / ``backend_tls_insecure`` control verification).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import ssl
-import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.exceptions import ServiceError
@@ -66,10 +68,13 @@ from repro.service.metrics import render_prometheus
 from repro.service.net.http1 import (
     MAX_HEADER_BYTES,
     BodyKeyCache,
-    format_response,
-    parse_head,
+    HostHandle,
+    HttpHost,
+    Reply,
     read_response,
+    run_host,
     send_request,
+    start_host_thread,
 )
 from repro.service.net.server import CACHE_ONLY_HEADER
 from repro.service.net.wire import (
@@ -95,9 +100,7 @@ DEFAULT_PROBE_TIMEOUT = 3.0
 DEFAULT_REQUEST_TIMEOUT = 600.0
 DEFAULT_KEY_CACHE_ENTRIES = 4096
 _LAST_SERVED_ENTRIES = 65536
-_KEEPALIVE_TIMEOUT = 75.0
 _PROBER_TICK = 0.25
-_PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Backend answers worth walking to the next replica: admission-control
 #: and drain rejections (the next server may have room) plus ``5xx``
@@ -212,11 +215,7 @@ class _BackendPool:
             self._discard(self._idle.pop())
 
 
-# dispatch result: (status, JSON payload or raw body bytes, extra headers)
-_Reply = Tuple[int, Union[Dict[str, Any], bytes], Dict[str, str]]
-
-
-class GatewayServer:
+class GatewayServer(HttpHost):
     """The consistent-hash fleet gateway (see the module docstring).
 
     Args:
@@ -236,7 +235,20 @@ class GatewayServer:
         tls_cert / tls_key: TLS for the gateway's own listener.
         backend_ca / backend_tls_insecure: verification knobs for
             ``https://`` backends.
+
+    ``max_body`` and ``drain_timeout`` are the :class:`HttpHost`
+    defaults (``DEFAULT_MAX_BODY``, ``DEFAULT_DRAIN_TIMEOUT``).
     """
+
+    ROUTES = {
+        "/v1/health": ("GET", "_handle_health"),
+        "/v1/stats": ("GET", "_handle_stats"),
+        "/v1/metrics": ("GET", "_handle_metrics"),
+        "/v1/compile": ("POST", "_handle_compile"),
+        "/v1/compile_batch": ("POST", "_handle_batch"),
+        "/v1/cache/invalidate": ("POST", "_handle_invalidate"),
+    }
+    ROLE = "gateway"
 
     def __init__(
         self,
@@ -264,21 +276,13 @@ class GatewayServer:
             raise ServiceError("gateway needs at least one --backend URL")
         if len(set(cleaned)) != len(cleaned):
             raise ServiceError("duplicate backend URLs")
-        if bool(tls_cert) != bool(tls_key):
-            raise ServiceError("TLS needs both tls_cert and tls_key")
+        super().__init__(
+            host, port, auth_token=auth_token, tls_cert=tls_cert, tls_key=tls_key
+        )
         self.backends = tuple(cleaned)
-        self.host = host
-        self.port = port
         self.request_timeout = request_timeout
         self.probe_timeout = probe_timeout
-        self.auth_token = (
-            auth_token
-            if auth_token is not None
-            else os.environ.get("CAQR_AUTH_TOKEN") or None
-        )
         self.backend_token = backend_token
-        self.tls_cert = tls_cert
-        self.tls_key = tls_key
         self.stats = stats if stats is not None else ServiceStats()
         self.fleet = FleetState(
             cleaned,
@@ -306,77 +310,20 @@ class GatewayServer:
         )
         self._counted_ring_moves = 0
         self._counted_marked_down: Dict[str, int] = {url: 0 for url in cleaned}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
         self._prober_task: Optional[asyncio.Task] = None
-        self._connections: set = set()
-        self._started_monotonic: Optional[float] = None
 
-    @property
-    def scheme(self) -> str:
-        return "https" if self.tls_cert else "http"
+    # -- lifecycle hooks -------------------------------------------------------
 
-    def uptime_s(self) -> float:
-        if self._started_monotonic is None:
-            return 0.0
-        return time.monotonic() - self._started_monotonic
+    def _on_start(self) -> None:
+        self._prober_task = asyncio.get_running_loop().create_task(self._prober())
 
-    # -- lifecycle -------------------------------------------------------------
-
-    async def start(self) -> "GatewayServer":
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        sslctx = None
-        if self.tls_cert:
-            sslctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            sslctx.load_cert_chain(self.tls_cert, self.tls_key)
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=MAX_HEADER_BYTES,
-            ssl=sslctx,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_monotonic = time.monotonic()
-        self._prober_task = self._loop.create_task(self._prober())
-        return self
-
-    async def serve(self, install_signal_handlers: bool = True) -> None:
-        if self._server is None:
-            await self.start()
-        if install_signal_handlers:
-            import signal
-
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self.request_shutdown)
-                except (NotImplementedError, RuntimeError):
-                    pass
-        await self._stop_event.wait()
-        await self._shutdown()
-
-    def request_shutdown(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def request_shutdown_threadsafe(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.request_shutdown)
-
-    async def _shutdown(self) -> None:
+    async def _on_close(self) -> None:
         if self._prober_task is not None:
             self._prober_task.cancel()
             try:
                 await self._prober_task
             except (asyncio.CancelledError, Exception):
                 pass
-        if self._server is not None:
-            self._server.close()
-        for writer in list(self._connections):
-            writer.close()
         for pool in self._pools.values():
             pool.close()
         self._fingerprint_pool.shutdown(wait=False)
@@ -428,191 +375,18 @@ class GatewayServer:
                 self.stats.count(f"marked_down:{url}", delta)
                 self._counted_marked_down[url] = lifetime
 
-    # -- request plumbing (mirror of CompileServer's loop) ---------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        self.stats.count("http_connections")
-        try:
-            await self._connection_loop(reader, writer)
-        except asyncio.CancelledError:
-            # asyncio.run teardown cancels in-flight handlers; the
-            # finally below closes the socket, nothing else to unwind
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (Exception, asyncio.CancelledError):
-                pass
-
-    async def _connection_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            try:
-                head = await asyncio.wait_for(
-                    reader.readuntil(b"\r\n\r\n"), _KEEPALIVE_TIMEOUT
-                )
-            except (
-                asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError,
-                asyncio.TimeoutError,
-                ConnectionError,
-            ):
-                return
-            parsed = parse_head(head)
-            if parsed is None:
-                await self._write(
-                    writer,
-                    400,
-                    error_to_wire("bad_request", "malformed HTTP request"),
-                    {},
-                    keep_alive=False,
-                )
-                return
-            method, path, headers = parsed
-            try:
-                content_length = int(headers.get("content-length", "0"))
-            except ValueError:
-                content_length = -1
-            if content_length < 0:
-                await self._write(
-                    writer,
-                    400,
-                    error_to_wire("bad_request", "bad Content-Length"),
-                    {},
-                    keep_alive=False,
-                )
-                return
-            body = b""
-            if content_length:
-                try:
-                    body = await reader.readexactly(content_length)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return
-            status, payload, extra = await self._dispatch(
-                method, path, headers, body
-            )
-            keep_alive = (
-                headers.get("connection", "keep-alive").lower() != "close"
-            )
-            try:
-                await self._write(writer, status, payload, extra, keep_alive)
-            except ConnectionError:
-                return
-            if not keep_alive:
-                return
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Union[Dict[str, Any], bytes],
-        extra_headers: Dict[str, str],
-        keep_alive: bool,
-    ) -> None:
-        if isinstance(payload, (bytes, bytearray)):
-            body = bytes(payload)
-        else:
-            body = json.dumps(payload).encode()
-        content_type = "application/json"
-        passthrough = {}
-        for name, value in extra_headers.items():
-            if name.lower() == "content-type":
-                content_type = value
-            else:
-                passthrough[name] = value
-        writer.write(
-            format_response(status, body, content_type, passthrough, keep_alive)
-        )
-        await writer.drain()
-
-    async def _dispatch(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> _Reply:
-        start = time.perf_counter()
-        self.stats.count("http_requests")
-        self.stats.count(f"http:{path}")
-        try:
-            reply = await self._route(method, path, headers, body)
-        except WireError as exc:
-            reply = 400, error_to_wire("bad_request", str(exc)), {}
-        except Exception as exc:  # never leak a traceback as a hung socket
-            reply = (
-                500,
-                error_to_wire("internal", f"{type(exc).__name__}: {exc}"),
-                {},
-            )
-        if reply[0] >= 400:
-            self.stats.count("http_errors")
-        elapsed = time.perf_counter() - start
-        self.stats.observe("request_latency", elapsed)
-        return reply
-
     # -- routing ---------------------------------------------------------------
 
-    async def _route(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> _Reply:
-        if path == "/v1/health":
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            return (
-                200,
-                {
-                    "schema": WIRE_SCHEMA_VERSION,
-                    "status": "ok",
-                    "gateway": True,
-                    "uptime_s": self.uptime_s(),
-                    "fleet": self.fleet.summary(),
-                },
-                {},
-            )
-        if self.auth_token is not None:
-            if headers.get("authorization", "") != f"Bearer {self.auth_token}":
-                self.stats.count("http_unauthorized")
-                return (
-                    401,
-                    error_to_wire(
-                        "unauthorized", "missing or invalid bearer token"
-                    ),
-                    {},
-                )
-        if path == "/v1/metrics":
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            return (
-                200,
-                self._metrics_body(),
-                {"Content-Type": _PROMETHEUS_CONTENT_TYPE},
-            )
-        if path == "/v1/stats":
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            return await self._handle_stats(headers)
-        if path == "/v1/compile":
-            if method != "POST":
-                return self._method_not_allowed(method, path)
-            return await self._handle_compile(headers, body)
-        if path == "/v1/compile_batch":
-            if method != "POST":
-                return self._method_not_allowed(method, path)
-            return await self._handle_batch(headers, body)
-        if path == "/v1/cache/invalidate":
-            if method != "POST":
-                return self._method_not_allowed(method, path)
-            return await self._handle_invalidate(headers, body)
-        return 404, error_to_wire("not_found", f"no route {method} {path}"), {}
-
-    @staticmethod
-    def _method_not_allowed(method: str, path: str) -> _Reply:
+    async def _handle_health(self, headers: Dict[str, str], body: bytes) -> Reply:
         return (
-            405,
-            error_to_wire("method_not_allowed", f"{method} not allowed on {path}"),
+            200,
+            {
+                "schema": WIRE_SCHEMA_VERSION,
+                "status": "ok",
+                "gateway": True,
+                "uptime_s": self.uptime_s(),
+                "fleet": self.fleet.summary(),
+            },
             {},
         )
 
@@ -647,13 +421,8 @@ class GatewayServer:
         self._key_cache.put(digest, (fingerprint, shard))
         return fingerprint, shard, ring_key(shard, fingerprint)
 
-    @staticmethod
-    def _derive_key(body: bytes) -> Tuple[str, str]:
-        try:
-            payload = json.loads(body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError(f"request body is not JSON: {exc}") from exc
-        return request_from_wire(payload).keys()
+    def _derive_key(self, body: bytes) -> Tuple[str, str]:
+        return request_from_wire(self._json_body(body)).keys()
 
     def _note_served(self, rk: str, backend: str) -> None:
         self._last_served[rk] = backend
@@ -709,7 +478,7 @@ class GatewayServer:
     @staticmethod
     def _client_reply(
         status: int, resp_headers: Dict[str, str], resp_body: bytes
-    ) -> _Reply:
+    ) -> Reply:
         extra: Dict[str, str] = {}
         content_type = resp_headers.get("content-type")
         if content_type:
@@ -724,7 +493,7 @@ class GatewayServer:
 
     async def _handle_compile(
         self, headers: Dict[str, str], body: bytes
-    ) -> _Reply:
+    ) -> Reply:
         _, shard, rk = await self._placement(body)
         replicas = self._replicas_for(rk)
         if not replicas:
@@ -769,7 +538,7 @@ class GatewayServer:
         owner: str,
         fwd_headers: Dict[str, str],
         body: bytes,
-    ) -> Optional[_Reply]:
+    ) -> Optional[Reply]:
         """Serve a re-homed key from its previous holder's warm cache.
 
         When the ring owner changed since the key was last served (a
@@ -837,8 +606,8 @@ class GatewayServer:
         if status == 200:
             self._note_served(rk, owner)
 
-    async def _handle_batch(self, headers: Dict[str, str], body: bytes) -> _Reply:
-        payload = json.loads(body) if body else None
+    async def _handle_batch(self, headers: Dict[str, str], body: bytes) -> Reply:
+        payload = self._json_body(body)
         if not isinstance(payload, dict):
             raise WireError("batch envelope must be a JSON object")
         if payload.get("schema") != WIRE_SCHEMA_VERSION:
@@ -956,7 +725,7 @@ class GatewayServer:
 
     async def _handle_invalidate(
         self, headers: Dict[str, str], body: bytes
-    ) -> _Reply:
+    ) -> Reply:
         """Broadcast an invalidation to every live backend."""
         fwd_headers = self._backend_headers(headers)
         up = self.fleet.up_members()
@@ -995,7 +764,7 @@ class GatewayServer:
             {},
         )
 
-    async def _handle_stats(self, headers: Dict[str, str]) -> _Reply:
+    async def _handle_stats(self, headers: Dict[str, str], body: bytes) -> Reply:
         """Aggregate ``/v1/stats``: gateway + per-backend + summed fleet."""
         fwd_headers = self._backend_headers(headers)
 
@@ -1055,49 +824,17 @@ class GatewayServer:
         ).encode()
 
 
-class GatewayHandle:
+class GatewayHandle(HostHandle):
     """A :class:`GatewayServer` running on a daemon thread (tests)."""
 
-    def __init__(self, gateway: GatewayServer, thread: threading.Thread):
-        self.gateway = gateway
-        self.thread = thread
-
     @property
-    def url(self) -> str:
-        return f"{self.gateway.scheme}://{self.gateway.host}:{self.gateway.port}"
-
-    def stop(self, timeout: float = 30.0) -> None:
-        self.gateway.request_shutdown_threadsafe()
-        self.thread.join(timeout)
+    def gateway(self) -> GatewayServer:
+        return self._host
 
 
 def start_gateway_thread(ready_timeout: float = 30.0, **kwargs) -> GatewayHandle:
     """Run a :class:`GatewayServer` on a background thread; wait until bound."""
-    kwargs.setdefault("port", 0)
-    ready = threading.Event()
-    box: Dict[str, Any] = {}
-
-    def _run() -> None:
-        async def _main() -> None:
-            gateway = GatewayServer(**kwargs)
-            await gateway.start()
-            box["gateway"] = gateway
-            ready.set()
-            await gateway.serve(install_signal_handlers=False)
-
-        try:
-            asyncio.run(_main())
-        except BaseException as exc:
-            box.setdefault("error", exc)
-            ready.set()
-
-    thread = threading.Thread(target=_run, daemon=True, name="caqr-gateway")
-    thread.start()
-    if not ready.wait(ready_timeout):
-        raise ServiceError("gateway did not start in time")
-    if "error" in box:
-        raise ServiceError(f"gateway failed to start: {box['error']}")
-    return GatewayHandle(box["gateway"], thread)
+    return start_host_thread(GatewayServer, GatewayHandle, ready_timeout, kwargs)
 
 
 def run_gateway(
@@ -1116,11 +853,7 @@ def run_gateway(
     backend_ca: Optional[str] = None,
     backend_tls_insecure: bool = False,
 ) -> int:
-    """Blocking entry point behind ``repro gateway``.
-
-    Prints ``serving on <host>:<port>`` once bound (same machine-readable
-    line as ``repro serve``), then runs until SIGTERM/SIGINT.
-    """
+    """Blocking entry point behind ``repro gateway`` (see :func:`run_host`)."""
     gateway = GatewayServer(
         backends,
         host=host,
@@ -1138,15 +871,4 @@ def run_gateway(
         backend_tls_insecure=backend_tls_insecure,
     )
 
-    async def _main() -> None:
-        await gateway.start()
-        print(
-            f"serving on {gateway.host}:{gateway.port} "
-            f"({len(gateway.backends)} backends)",
-            flush=True,
-        )
-        await gateway.serve(install_signal_handlers=True)
-        print("gateway stopped", flush=True)
-
-    asyncio.run(_main())
-    return 0
+    return run_host(gateway, f" ({len(gateway.backends)} backends)")

@@ -17,8 +17,6 @@ Counter names the service uses:
 * ``corrupt_entries`` — on-disk entries that failed to load (bad JSON,
   schema-version mismatch, truncated write) and were treated as misses;
 * ``expired_entries`` — entries past the cache TTL, dropped on lookup;
-* ``migrated_entries`` — legacy flat disk entries moved into their
-  backend shard on first lookup;
 * ``invalidated_entries`` / ``invalidations`` — entries removed by an
   explicit ``invalidate(fingerprint)`` call (CLI ``cache clear --key``
   or ``POST /v1/cache/invalidate``) and the number of such calls;

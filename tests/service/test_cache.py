@@ -110,10 +110,11 @@ class TestDiskCache:
 
     def test_empty_file_treated_as_corrupt(self, tmp_path):
         store = DiskCache(str(tmp_path))
-        (tmp_path / "abc.json").write_text("")
+        (tmp_path / DEFAULT_SHARD).mkdir()
+        (tmp_path / DEFAULT_SHARD / "abc.json").write_text("")
         assert store.get("abc") is None
         assert store.stats.counters["corrupt_entries"] == 1
-        assert not (tmp_path / "abc.json").exists()
+        assert not (tmp_path / DEFAULT_SHARD / "abc.json").exists()
 
     def test_no_temp_files_left_behind(self, tmp_path):
         store = DiskCache(str(tmp_path))
@@ -155,24 +156,12 @@ class TestDiskShards:
         assert list(store.keys()) == ["k"]
         assert len(store) == 1
 
-    def test_legacy_flat_entry_migrates_on_lookup(self, tmp_path):
-        (tmp_path / "old.json").write_text("legacy-payload")
-        store = DiskCache(str(tmp_path))
-        assert store.get("old", shard="aaaa1111") == "legacy-payload"
-        assert store.stats.counters["migrated_entries"] == 1
-        assert not (tmp_path / "old.json").exists()
-        assert (tmp_path / "aaaa1111" / "old.json").is_file()
-        # second lookup hits the shard directly, no second migration
-        assert store.get("old", shard="aaaa1111") == "legacy-payload"
-        assert store.stats.counters["migrated_entries"] == 1
-
     def test_invalidate_without_shard_sweeps_everywhere(self, tmp_path):
         store = DiskCache(str(tmp_path))
         store.put("k", "a", shard="aaaa1111")
         store.put("k", "b", shard="bbbb2222")
-        (tmp_path / "k.json").write_text("legacy")
-        assert store.invalidate("k") == 3
-        assert store.stats.counters["invalidated_entries"] == 3
+        assert store.invalidate("k") == 2
+        assert store.stats.counters["invalidated_entries"] == 2
         assert store.get("k", shard="aaaa1111") is None
         assert store.invalidate("k") == 0
 
@@ -192,7 +181,8 @@ class TestDiskShards:
         usage = store.shard_stats()
         assert usage["aaaa1111"] == {"entries": 2, "bytes": 6}
         assert usage["bbbb2222"] == {"entries": 1, "bytes": 3}
-        assert usage["legacy"] == {"entries": 1, "bytes": 1}
+        # a stray file outside every shard directory is not an entry
+        assert set(usage) == {"aaaa1111", "bbbb2222"}
         store.refresh_shard_gauges()
         assert store.stats.values["shard_entries:aaaa1111"] == 2
         assert store.stats.values["shard_bytes:bbbb2222"] == 3

@@ -3,14 +3,18 @@
 Everything runs in-process — the server on a background thread
 (``start_server_thread``, port 0), clients on the test thread — so the
 suite exercises real sockets without fixed ports or subprocesses.  The
+HTTP-edge tests run against both hosts built on the shared HTTP/1.1
+host: the server, and a gateway in front of a server.  The
 cross-*process* acceptance path (many client processes, SIGTERM drain)
 lives in ``scripts/server_smoke.py`` and the CI smoke job.
 """
 
 import http.client
 import json
+import socket
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -22,8 +26,10 @@ from repro.service import (
     CompileService,
     RemoteCompileService,
     WireError,
+    start_gateway_thread,
     start_server_thread,
 )
+from repro.service.net.http1 import DEFAULT_MAX_BODY
 from repro.service.net.wire import (
     WIRE_SCHEMA_VERSION,
     error_from_wire,
@@ -107,6 +113,42 @@ def server():
     handle = start_server_thread(service=CompileService())
     yield handle
     handle.stop()
+
+
+HOST_ROLES = ("server", "gateway")
+
+
+def _start_host(role):
+    """``(handle, host, stop)``: a server, or a gateway over a fresh server."""
+    backend = start_server_thread(service=CompileService())
+    if role == "server":
+        return backend, backend.server, backend.stop
+    gateway = start_gateway_thread(backends=[backend.url])
+
+    def stop():
+        gateway.stop()
+        backend.stop()
+
+    return gateway, gateway.gateway, stop
+
+
+@pytest.fixture
+def hosts():
+    """``[(role, handle, host)]`` for each of :data:`HOST_ROLES`."""
+    started = [(role,) + _start_host(role) for role in HOST_ROLES]
+    yield [(role, handle, host) for role, handle, host, _ in started]
+    for *_, stop in started:
+        stop()
+
+
+def _exchange(handle, data, timeout=10.0):
+    """Send raw bytes to *handle*; return ``(status, JSON body)``."""
+    parts = urlsplit(handle.url)
+    with socket.create_connection((parts.hostname, parts.port), timeout) as sock:
+        sock.sendall(data)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
 
 
 @pytest.fixture
@@ -203,8 +245,9 @@ class TestServerRoundtrip:
 
 
 class TestServerErrors:
-    def _raw(self, server, method, path, body=b"", headers=None):
-        conn = http.client.HTTPConnection(server.server.host, server.server.port)
+    def _raw(self, handle, method, path, body=b"", headers=None):
+        parts = urlsplit(handle.url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port)
         try:
             conn.request(method, path, body=body, headers=headers or {})
             response = conn.getresponse()
@@ -213,29 +256,61 @@ class TestServerErrors:
         finally:
             conn.close()
 
-    def test_unknown_route(self, server):
-        status, payload = self._raw(server, "GET", "/nope")
-        assert status == 404
-        assert payload["error"]["code"] == "not_found"
+    def test_unknown_route(self, hosts):
+        for role, handle, _ in hosts:
+            status, payload = self._raw(handle, "GET", "/nope")
+            assert status == 404, role
+            assert payload["error"]["code"] == "not_found", role
 
-    def test_method_not_allowed(self, server):
-        status, payload = self._raw(server, "POST", "/v1/health")
-        assert status == 405
-        assert payload["error"]["code"] == "method_not_allowed"
-        status, payload = self._raw(server, "GET", "/v1/compile")
-        assert status == 405
+    def test_method_not_allowed(self, hosts):
+        for role, handle, _ in hosts:
+            status, payload = self._raw(handle, "POST", "/v1/health")
+            assert status == 405, role
+            assert payload["error"]["code"] == "method_not_allowed", role
+            status, payload = self._raw(handle, "GET", "/v1/compile")
+            assert status == 405, role
 
-    def test_bad_json_body(self, server):
-        status, payload = self._raw(server, "POST", "/v1/compile", b"not json")
-        assert status == 400
-        assert payload["error"]["code"] == "bad_request"
+    def test_bad_json_body(self, hosts):
+        for role, handle, _ in hosts:
+            status, payload = self._raw(handle, "POST", "/v1/compile", b"not json")
+            assert status == 400, role
+            assert payload["error"]["code"] == "bad_request", role
+
+    def test_malformed_request_head(self, hosts):
+        for role, handle, _ in hosts:
+            status, payload = _exchange(handle, b"NONSENSE\r\n\r\n")
+            assert status == 400, role
+            assert payload["error"]["code"] == "bad_request", role
+
+    def test_bad_content_length(self, hosts):
+        head = b"POST /v1/compile HTTP/1.1\r\nContent-Length: many\r\n\r\n"
+        for role, handle, _ in hosts:
+            status, payload = _exchange(handle, head)
+            assert status == 400, role
+            assert payload["error"]["code"] == "bad_request", role
+
+    def test_http_errors_counted_once_per_reply(self, hosts, monkeypatch):
+        def boom(self, headers, body):
+            raise RuntimeError("forced")
+
+        for role, handle, host in hosts:
+            counters = host.stats.counters
+            before = counters.get("http_errors", 0)
+            status, _ = self._raw(handle, "POST", "/v1/compile", b"not json")
+            assert status == 400, role
+            assert counters["http_errors"] == before + 1, role
+            monkeypatch.setattr(type(host), "_handle_stats", boom)
+            status, payload = self._raw(handle, "GET", "/v1/stats")
+            assert status == 500, role
+            assert payload["error"]["code"] == "internal", role
+            assert counters["http_errors"] == before + 2, role
 
     def test_schema_mismatch_is_bad_request(self, server):
         body = json.dumps({"schema": 999}).encode()
         status, payload = self._raw(server, "POST", "/v1/compile", body)
         assert status == 400
 
-    def test_payload_too_large(self):
+    def test_payload_too_large(self, hosts):
         handle = start_server_thread(
             service=CompileService(), max_body=128
         )
@@ -245,6 +320,15 @@ class TestServerErrors:
             assert payload["error"]["code"] == "payload_too_large"
         finally:
             handle.stop()
+        # the default cap, answered from the head alone: no body is sent
+        head = (
+            "POST /v1/compile HTTP/1.1\r\n"
+            f"Content-Length: {DEFAULT_MAX_BODY + 1}\r\n\r\n"
+        ).encode()
+        for role, handle, _ in hosts:
+            status, payload = _exchange(handle, head)
+            assert status == 413, role
+            assert payload["error"]["code"] == "payload_too_large", role
 
     def test_infeasible_budget_is_compile_error(self, client):
         request = CompileRequest(
@@ -354,31 +438,38 @@ class TestConcurrency:
     def test_drain_finishes_inflight_then_rejects(self, monkeypatch):
         started, release = threading.Event(), threading.Event()
         _slow_cold_compile(monkeypatch, started, release)
-        handle = start_server_thread(service=CompileService())
-        outcome = {}
+        for role in HOST_ROLES:
+            started.clear()
+            release.clear()
+            handle, host, stop = _start_host(role)
+            outcome = {}
 
-        def inflight():
-            remote = RemoteCompileService(handle.url, timeout=60)
-            outcome["report"] = remote.compile_request(
-                CompileRequest(target=bv_circuit(6))
-            )
+            def inflight():
+                remote = RemoteCompileService(handle.url, timeout=60)
+                outcome["report"] = remote.compile_request(
+                    CompileRequest(target=bv_circuit(6))
+                )
 
-        worker = threading.Thread(target=inflight)
-        worker.start()
-        assert started.wait(30)
-        handle.server.request_shutdown_threadsafe()
-        time.sleep(0.2)  # let the drain flip the flag
-        release.set()
-        worker.join(60)
-        handle.thread.join(30)
-        assert not handle.thread.is_alive(), "server failed to drain"
-        # the in-flight request completed despite the shutdown
-        assert outcome["report"].metrics is not None
-        # the socket is gone afterwards
-        late = RemoteCompileService(handle.url, timeout=5, retries=0)
-        with pytest.raises(RemoteServiceError) as excinfo:
-            late.health()
-        assert excinfo.value.code == "connect_error"
+            worker = threading.Thread(target=inflight)
+            worker.start()
+            try:
+                assert started.wait(30), role
+                host.request_shutdown_threadsafe()
+                time.sleep(0.2)  # let the drain flip the flag
+                release.set()
+                worker.join(60)
+                handle.thread.join(30)
+                assert not handle.thread.is_alive(), f"{role} failed to drain"
+                # the in-flight request completed despite the shutdown
+                assert outcome["report"].metrics is not None, role
+                # the socket is gone afterwards
+                late = RemoteCompileService(handle.url, timeout=5, retries=0)
+                with pytest.raises(RemoteServiceError) as excinfo:
+                    late.health()
+                assert excinfo.value.code == "connect_error", role
+            finally:
+                release.set()
+                stop()
 
 
 class TestClientRetry:
