@@ -172,6 +172,50 @@ def test_pinned_optima(circuit, optimal):
     assert_equivalent(circuit, result.circuit)
 
 
+# (seed, (qubits, pairs, depth, optimal, nodes_expanded) of the full search,
+#  (qubits, pairs, depth, optimal, nodes_expanded) under max_nodes=50)
+_SEARCH_GOLDEN = [
+    (0, (2, [(0, 2)], 6, True, 2), (2, [(0, 2)], 6, True, 2)),
+    (1, (3, [(3, 1)], 11, True, 5), (3, [(3, 1)], 11, True, 5)),
+    (2, (2, [(0, 1), (1, 0), (2, 1)], 8, True, 229),
+        (2, [(0, 1), (1, 0), (2, 1)], 8, False, 51)),
+    (3, (4, [(1, 5), (4, 3)], 15, True, 16), (4, [(1, 5), (4, 3)], 15, True, 16)),
+    (4, (3, [(0, 1), (0, 1), (0, 1), (1, 2)], 13, True, 883),
+        (3, [(0, 1), (0, 1), (0, 1), (1, 2)], 13, False, 51)),
+    (5, (4, [(0, 1), (0, 3), (1, 3), (4, 1)], 14, True, 814),
+        (4, [(0, 1), (0, 3), (1, 3), (4, 1)], 14, False, 51)),
+    (6, (2, [(2, 0)], 8, True, 2), (2, [(2, 0)], 8, True, 2)),
+    (7, (4, [], 13, True, 1), (4, [], 13, True, 1)),
+    (8, (2, [(0, 1), (0, 1), (1, 2)], 9, True, 229),
+        (2, [(0, 1), (0, 1), (1, 2)], 9, False, 51)),
+    (9, (3, [(0, 5), (1, 2), (1, 2)], 11, True, 97),
+        (3, [(0, 5), (1, 2), (1, 2)], 11, False, 51)),
+    (10, (3, [(0, 1), (0, 2), (1, 2), (1, 2)], 11, True, 2027),
+        (3, [(0, 1), (0, 2), (1, 2), (1, 2)], 11, False, 51)),
+    (11, (2, [(0, 1), (0, 1), (0, 1), (1, 2), (1, 3), (2, 1)], 18, True, 25339),
+        (2, [(0, 1), (0, 1), (0, 1), (1, 2), (1, 3), (2, 1)], 18, False, 51)),
+]
+
+
+@pytest.mark.parametrize("seed,full,anytime", _SEARCH_GOLDEN)
+def test_search_order_golden(seed, full, anytime):
+    """Pin the branch-and-bound's plans, node counts and anytime cut-off.
+
+    Node counts and the budgeted plan depend on the order the search
+    visits states, which no other test fixes."""
+    circuit = _sample_circuit(seed)
+    for engine, expected in ((ExactReuse(), full), (ExactReuse(max_nodes=50), anytime)):
+        result = engine.run(circuit)
+        got = (
+            result.qubits,
+            [(pair.source, pair.target) for pair in result.pairs],
+            result.depth,
+            result.optimal,
+            result.nodes_expanded,
+        )
+        assert got == expected, f"seed={seed} max_nodes={engine.max_nodes}"
+
+
 def test_anytime_budget_returns_best_so_far():
     """A starved node budget still yields a sound (if unproven) plan."""
     circuit = _reuse_chain(8)
