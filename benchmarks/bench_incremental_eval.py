@@ -43,6 +43,7 @@ def _measure():
             f"engines diverged on bv({width})"
         )
         speedup = t_ref / t_inc
+        steps = max(stats.counters.get("steps", 0), 1)
         rows.append(
             [
                 width,
@@ -50,8 +51,8 @@ def _measure():
                 round(t_ref, 2),
                 round(t_inc, 2),
                 f"{speedup:.1f}x",
-                f"{1000 * stats.per_step_time('score'):.1f}",
-                f"{1000 * stats.per_step_time('lookahead'):.1f}",
+                f"{1000 * stats.timers.get('score', 0.0) / steps:.1f}",
+                f"{1000 * stats.timers.get('lookahead', 0.0) / steps:.1f}",
                 stats.counters.get("parallel_batches", 0),
             ]
         )

@@ -17,7 +17,6 @@ import networkx as nx
 from repro.analysis.metrics import CircuitMetrics, collect_metrics
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.chains import ChainReuse
-from repro.core.profile import ReuseEvalStats
 from repro.core.qs_caqr import QSCaQR
 from repro.core.qs_commuting import QSCaQRCommuting
 from repro.core.sr_caqr import SRCaQR
@@ -30,9 +29,8 @@ from repro.core.tradeoff import (
 )
 from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
-from repro.sim.stats import SimStats
+from repro.stats import Stats
 from repro.transpiler.pipeline import transpile
-from repro.transpiler.stats import RouteStats
 
 __all__ = ["CompileReport", "caqr_compile"]
 
@@ -93,16 +91,16 @@ class CompileReport:
     baseline_metrics: Optional[CircuitMetrics]
     reuse_beneficial: bool
     qubit_saving: float
-    route_stats: Optional[RouteStats] = None
-    eval_stats: Optional[ReuseEvalStats] = None
-    sim_stats: Optional[SimStats] = None
+    route_stats: Optional[Stats] = None
+    eval_stats: Optional[Stats] = None
+    sim_stats: Optional[Stats] = None
     from_cache: bool = False
     strategy: Optional[str] = None
     strategy_timings: Optional[Dict[str, float]] = None
     strategy_errors: Optional[Dict[str, str]] = None
     optimality_gap: Optional[int] = None
     exact_optimal: Optional[bool] = None
-    chain_stats: Optional[ReuseEvalStats] = None
+    chain_stats: Optional[Stats] = None
 
 
 def caqr_compile(
@@ -293,7 +291,7 @@ def caqr_compile(
             route_stats = sr.stats
             original_width = target.num_qubits
         baseline = _baseline_metrics(target, backend, seed, angles, route_parallel)
-        eval_stats = ReuseEvalStats()
+        eval_stats = Stats()
         sweep = _sweep(target, None, reset_style, seed,
                        incremental=incremental, parallel=parallel,
                        stats=eval_stats)
@@ -315,7 +313,7 @@ def caqr_compile(
     if mode == "qubit_budget":
         if qubit_limit is None:
             raise ReuseError("qubit_budget mode needs qubit_limit")
-        eval_stats = ReuseEvalStats()
+        eval_stats = Stats()
         if is_graph:
             qs_kwargs = {}
             if angles is not None:
@@ -368,7 +366,7 @@ def caqr_compile(
 
     if mode not in ("max_reuse", "min_depth"):
         raise ReuseError(f"unknown compile mode {mode!r}")
-    eval_stats = ReuseEvalStats()
+    eval_stats = Stats()
     sweep = _sweep(target, backend, reset_style, seed, angles,
                    incremental=incremental, parallel=parallel,
                    stats=eval_stats)
@@ -429,7 +427,7 @@ def _chain_compile(
         raise ReuseError(f"unknown compile mode {mode!r}")
     if mode == "min_swap" and backend is None:
         raise ReuseError("min_swap mode needs a backend")
-    chain_stats = ReuseEvalStats()
+    chain_stats = Stats()
     dual = backend is not None and _all_to_all(backend)
     chain_objective = objective or ("depth" if mode == "min_depth" else "qubits")
     budget = None
@@ -498,7 +496,7 @@ def _sweep(target, backend, reset_style, seed, angles=None,
     )
 
 
-def _esp_stats(circuit, backend) -> Optional[SimStats]:
+def _esp_stats(circuit, backend) -> Optional[Stats]:
     """Analytic-ESP instrumentation for a hardware-mapped compile.
 
     ``None`` without a backend, or when the circuit has gates the
@@ -509,7 +507,7 @@ def _esp_stats(circuit, backend) -> Optional[SimStats]:
         return None
     from repro.sim.metrics import estimated_success_probability
 
-    stats = SimStats()
+    stats = Stats()
     try:
         estimated_success_probability(
             circuit, backend.calibration, stats=stats

@@ -30,7 +30,6 @@ from repro.core.lifetime_regular import (
     lifetime_compile_regular,
 )
 from repro.core.profile import (
-    ReuseEvalStats,
     ReuseProfile,
     profile_circuit,
     profile_graph,
@@ -76,7 +75,6 @@ __all__ = [
     "batch_pair_costs",
     "PairScorer",
     "ReuseSession",
-    "ReuseEvalStats",
     "apply_reuse_pair",
     "apply_reuse_chain",
     "ReuseTransformation",

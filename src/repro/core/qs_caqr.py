@@ -35,10 +35,10 @@ from repro.core.evaluate import (
     evaluate_pair_depth,
     evaluate_pair_duration,
 )
-from repro.core.profile import ReuseEvalStats
 from repro.core.session import ReuseSession
 from repro.core.transform import apply_reuse_pair
 from repro.exceptions import ReuseError
+from repro.stats import Stats
 from repro.transpiler.scheduling import circuit_duration_dt
 
 __all__ = ["QSCaQRResult", "QSCaQR"]
@@ -97,7 +97,7 @@ class QSCaQR:
         max_workers: process-pool size.
 
     The instance's :attr:`stats` (a
-    :class:`~repro.core.profile.ReuseEvalStats`) accumulates evaluation
+    :class:`~repro.stats.Stats`) accumulates evaluation
     counters, cache hits, and wall-time buckets across runs.
     """
 
@@ -123,7 +123,7 @@ class QSCaQR:
         self.parallel = parallel
         self.parallel_threshold = parallel_threshold
         self.max_workers = max_workers
-        self.stats = ReuseEvalStats()
+        self.stats = Stats()
 
     # -- single greedy step ---------------------------------------------------
 

@@ -83,7 +83,7 @@ def sweep_regular(
     :class:`~repro.core.qs_caqr.QSCaQR`); both engines yield the same
     points.  ``parallel=False`` also keeps the per-point SABRE layout
     search in-process.  *stats* is an optional
-    :class:`~repro.core.profile.ReuseEvalStats` sink the sweep's engine
+    :class:`~repro.stats.Stats` sink the sweep's engine
     counters/timers are folded into.
     """
     compiler = QSCaQR(

@@ -83,7 +83,7 @@ from repro.service.net.wire import (
     error_to_wire,
     request_from_wire,
 )
-from repro.service.stats import ServiceStats
+from repro.stats import Stats
 
 __all__ = [
     "DEFAULT_GATEWAY_PORT",
@@ -269,7 +269,7 @@ class GatewayServer(HttpHost):
         tls_key: Optional[str] = None,
         backend_ca: Optional[str] = None,
         backend_tls_insecure: bool = False,
-        stats: Optional[ServiceStats] = None,
+        stats: Optional[Stats] = None,
     ):
         cleaned = [url.rstrip("/") for url in backends]
         if not cleaned:
@@ -283,7 +283,7 @@ class GatewayServer(HttpHost):
         self.request_timeout = request_timeout
         self.probe_timeout = probe_timeout
         self.backend_token = backend_token
-        self.stats = stats if stats is not None else ServiceStats()
+        self.stats = stats if stats is not None else Stats()
         self.fleet = FleetState(
             cleaned,
             vnodes=vnodes,
@@ -795,7 +795,7 @@ class GatewayServer(HttpHost):
             {
                 "schema": WIRE_SCHEMA_VERSION,
                 "gateway": {
-                    "stats": self.stats.to_dict(),
+                    "stats": self._stats_payload(),
                     "uptime_s": self.uptime_s(),
                     "fleet": self.fleet.summary(),
                 },
@@ -806,7 +806,7 @@ class GatewayServer(HttpHost):
         )
 
     def _metrics_body(self) -> bytes:
-        snapshot = ServiceStats()
+        snapshot = Stats()
         snapshot.merge(self.stats)
         for url in self.backends:
             snapshot.set_value(

@@ -49,7 +49,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar, Union
 
 from repro.exceptions import ServiceError
 from repro.service.net.wire import WireError, error_to_wire
-from repro.service.stats import ServiceStats
+from repro.stats import Stats, rate
 
 __all__ = [
     "MAX_HEADER_BYTES",
@@ -221,7 +221,7 @@ async def read_response(
 class HttpHost:
     """One asyncio HTTP/1.1 listener: lifecycle, connection loop, dispatch.
 
-    Subclasses set :attr:`stats` (a :class:`ServiceStats`) in their
+    Subclasses set :attr:`stats` (a :class:`Stats`) in their
     constructor, list their endpoints in :attr:`ROUTES`, implement
     ``_metrics_body`` for ``GET /v1/metrics``, and may override the
     ``_on_start`` / ``_on_close`` / ``_after_request`` hooks.
@@ -243,7 +243,7 @@ class HttpHost:
     #: names the host in its thread, startup errors and drain messages
     ROLE = "host"
 
-    stats: ServiceStats
+    stats: Stats
 
     def __init__(
         self,
@@ -286,6 +286,14 @@ class HttpHost:
         if self._started_monotonic is None:
             return 0.0
         return time.monotonic() - self._started_monotonic
+
+    def _stats_payload(self) -> Dict[str, object]:
+        """:attr:`stats` as ``GET /v1/stats`` reports it, with the cache
+        hit rate and the share of requests folded onto an identical one."""
+        payload = self.stats.to_dict()
+        payload["hit_rate"] = rate(self.stats, "hits", "hits", "misses")
+        payload["dedup_rate"] = rate(self.stats, "dedup_folds", "requests")
+        return payload
 
     # -- lifecycle -------------------------------------------------------------
 

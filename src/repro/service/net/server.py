@@ -15,7 +15,7 @@ Endpoints
 ===========================  ======================================================
 ``GET  /v1/health``          liveness + ``uptime_s`` / ``inflight`` / ``draining``
                              gauges (always answered, even mid-drain)
-``GET  /v1/stats``           :class:`ServiceStats` snapshot + per-shard disk usage
+``GET  /v1/stats``           :class:`Stats` snapshot + per-shard disk usage
                              + the same process gauges
 ``GET  /v1/metrics``         Prometheus text format 0.0.4: counters, gauges,
                              timers, and request-latency histograms (answered
@@ -106,7 +106,7 @@ from repro.service.net.wire import (
 from repro.service.reqlog import RequestLog
 from repro.service.serialization import dumps_entry
 from repro.service.service import CompileRequest, CompileService
-from repro.service.stats import ServiceStats
+from repro.stats import Stats
 
 __all__ = [
     "DEFAULT_PORT",
@@ -280,7 +280,7 @@ class CompileServer(HttpHost):
             self._owns_log = self._request_log is not None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._active_compiles = 0
-        self._domain_stats: Dict[str, ServiceStats] = {}
+        self._domain_stats: Dict[str, Stats] = {}
         self._domain_lock = threading.Lock()
 
     # -- lifecycle hooks -------------------------------------------------------
@@ -346,7 +346,7 @@ class CompileServer(HttpHost):
             200,
             {
                 "schema": WIRE_SCHEMA_VERSION,
-                "stats": self.stats.to_dict(),
+                "stats": self._stats_payload(),
                 "shards": shards,
                 "uptime_s": self.uptime_s(),
                 "inflight": self._inflight,
@@ -360,7 +360,7 @@ class CompileServer(HttpHost):
         disk = self.service.cache.disk
         if disk is not None:
             disk.refresh_shard_gauges()
-        snapshot = ServiceStats()
+        snapshot = Stats()
         snapshot.merge(self.stats)
         # fold in the process-wide portfolio service's win rates (the
         # strategy="portfolio" lanes report there) without creating it
@@ -390,8 +390,8 @@ class CompileServer(HttpHost):
         return body.encode()
 
     @staticmethod
-    def _snapshot_domain(sink: ServiceStats) -> ServiceStats:
-        copy = ServiceStats()
+    def _snapshot_domain(sink: Stats) -> Stats:
+        copy = Stats()
         copy.merge(sink)
         return copy
 
@@ -674,19 +674,11 @@ class CompileServer(HttpHost):
     def _absorb_report_stats(self, report) -> None:
         """Fold a cold compile's engine stats into the metrics export."""
         for domain, attr in _REPORT_STAT_DOMAINS:
-            source = getattr(report, attr, None)
+            source = getattr(report, attr)
             if source is None:
                 continue
             with self._domain_lock:
-                sink = self._domain_stats.get(domain)
-                if sink is None:
-                    sink = self._domain_stats[domain] = ServiceStats()
-                for name, value in getattr(source, "counters", {}).items():
-                    sink.count(name, value)
-                for name, value in getattr(source, "timers", {}).items():
-                    sink.add_time(name, value)
-                for name, value in getattr(source, "values", {}).items():
-                    sink.add_value(name, value)
+                self._domain_stats.setdefault(domain, Stats()).merge(source)
 
     async def _handle_invalidate(
         self, headers: Dict[str, str], body: bytes

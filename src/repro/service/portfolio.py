@@ -29,10 +29,10 @@ like the route-stats timers.
 the portfolio or silently vanish from the race: the worker catches the
 exception and returns it as data, the report's ``strategy_errors`` maps
 strategy name to the message, and ``portfolio_errors:<name>`` counts it
-in :class:`~repro.service.stats.ServiceStats`.  Only if *every*
+in the service's :class:`~repro.stats.Stats` sink.  Only if *every*
 strategy fails does the portfolio raise.
 
-**Self-tuning.**  Per-strategy win counts live in ``ServiceStats``
+**Self-tuning.**  Per-strategy win counts live in the same sink
 (``portfolio_wins:<name>`` / ``portfolio_compiles``); historically
 winning strategies are submitted to the pool first so their results are
 available earliest.  Scheduling order never changes the winner — only
@@ -61,7 +61,6 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.compile_api import CompileReport, _all_to_all, caqr_compile
 from repro.core.chains import ChainReuse
 from repro.core.exact import ExactReuse
-from repro.core.profile import ReuseEvalStats
 from repro.core.qs_caqr import QSCaQR
 from repro.core.sr_caqr import SRCaQR
 from repro.core.sr_commuting import SRCaQRCommuting
@@ -76,11 +75,10 @@ from repro.core.transform import apply_reuse_chain
 from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
 from repro.service.service import CompileRequest
-from repro.service.stats import ServiceStats
 from repro.service.workers import WorkerPool, resolve_workers_mode
 from repro.sim.metrics import estimated_success_probability
+from repro.stats import Stats, rate
 from repro.transpiler.pipeline import transpile
-from repro.transpiler.stats import RouteStats
 
 __all__ = [
     "OBJECTIVES",
@@ -147,10 +145,10 @@ class StrategyOutcome:
     error: Optional[str] = None
     report: Optional[CompileReport] = None
     circuit: Optional[QuantumCircuit] = None
-    route_stats: Optional[RouteStats] = None
+    route_stats: Optional[Stats] = None
     exact_qubits: Optional[int] = None
     exact_optimal: Optional[bool] = None
-    chain_stats: Optional[ReuseEvalStats] = None
+    chain_stats: Optional[Stats] = None
 
 
 # -- strategy execution (module-level: runs inside pool workers) ---------------
@@ -169,7 +167,8 @@ def _sweep_points(
         )
         if backend is not None:
             compiled = transpile(
-                point.circuit, backend, optimization_level=3, seed=seed
+                point.circuit, backend, optimization_level=3, seed=seed,
+                parallel=False,
             )
             point.compiled_depth = compiled.depth
             point.compiled_duration_dt = compiled.duration_dt
@@ -195,7 +194,9 @@ def _finalize_logical(
 ) -> QuantumCircuit:
     if backend is None:
         return logical
-    return transpile(logical, backend, optimization_level=3, seed=seed).circuit
+    return transpile(
+        logical, backend, optimization_level=3, seed=seed, parallel=False
+    ).circuit
 
 
 def _run_caqr_strategy(spec, request, extracted) -> StrategyOutcome:
@@ -340,7 +341,7 @@ def _run_chain_strategy(spec, request, extracted) -> StrategyOutcome:
             "chain lane needs a QuantumCircuit target "
             "(the commuting lanes cover graph inputs)"
         )
-    chain_stats = ReuseEvalStats()
+    chain_stats = Stats()
     engine = ChainReuse(
         objective=options.get(
             "objective", "depth" if request.mode == "min_depth" else "qubits"
@@ -452,7 +453,7 @@ class PortfolioCompileService:
     Args:
         max_workers: process-pool cap for the strategy fan-out (default:
             the repo-wide ``min(cpu_count, 8)`` idiom).
-        stats: optional shared :class:`ServiceStats` sink for win-rate /
+        stats: optional shared :class:`Stats` sink for win-rate /
             error counters and per-strategy timers.
         exact_max_nodes: anytime node budget handed to the exact tier.
         exact_max_qubits: circuits wider than this skip the exact tier.
@@ -473,7 +474,7 @@ class PortfolioCompileService:
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        stats: Optional[ServiceStats] = None,
+        stats: Optional[Stats] = None,
         exact_max_nodes: int = DEFAULT_EXACT_MAX_NODES,
         exact_max_qubits: int = DEFAULT_EXACT_MAX_QUBITS,
         strategies: Optional[List[StrategySpec]] = None,
@@ -481,7 +482,7 @@ class PortfolioCompileService:
         state_path: Optional[str] = None,
     ):
         self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
-        self.stats = stats if stats is not None else ServiceStats()
+        self.stats = stats if stats is not None else Stats()
         self.exact_max_nodes = exact_max_nodes
         self.exact_max_qubits = exact_max_qubits
         self.strategies = strategies
@@ -613,10 +614,7 @@ class PortfolioCompileService:
         return specs
 
     def _win_rate(self, name: str) -> float:
-        total = self.stats.counters.get("portfolio_compiles", 0)
-        if not total:
-            return 0.0
-        return self.stats.counters.get(f"portfolio_wins:{name}", 0) / total
+        return rate(self.stats, f"portfolio_wins:{name}", "portfolio_compiles")
 
     # -- the race --------------------------------------------------------------
 
@@ -905,6 +903,7 @@ class PortfolioCompileService:
                 request.backend,
                 optimization_level=3,
                 seed=request.seed,
+                parallel=None if request.parallel else False,
             )
             baseline = collect_metrics(
                 compiled.circuit, request.backend.calibration

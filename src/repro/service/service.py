@@ -49,8 +49,8 @@ from repro.service.fingerprint import (
     resolve_calib_bands,
 )
 from repro.service.serialization import dumps_entry, loads_entry
-from repro.service.stats import ServiceStats
 from repro.service.workers import WorkerPool, resolve_workers_mode
+from repro.stats import Stats
 
 __all__ = [
     "CompileRequest",
@@ -181,7 +181,7 @@ class CompileService:
         memory_entries / memory_bytes: LRU caps of the in-process tier.
         max_workers: process-pool cap for batch fan-out (default:
             ``os.cpu_count()`` capped at 8, the repo-wide pool idiom).
-        stats: optional shared :class:`ServiceStats` sink.
+        stats: optional shared :class:`Stats` sink.
         ttl: optional entry lifetime in seconds for *both* tiers —
             entries older than this count as misses and are dropped
             (groundwork for calibration-drift invalidation).
@@ -205,14 +205,14 @@ class CompileService:
         memory_entries: int = DEFAULT_MAX_ENTRIES,
         memory_bytes: int = DEFAULT_MAX_BYTES,
         max_workers: Optional[int] = None,
-        stats: Optional[ServiceStats] = None,
+        stats: Optional[Stats] = None,
         ttl: Optional[float] = None,
         workers_mode: Optional[str] = None,
         disk_entries: Optional[int] = None,
         disk_bytes: Optional[int] = None,
         ttl_by_bands: Optional[Mapping[int, float]] = None,
     ):
-        self.stats = stats if stats is not None else ServiceStats()
+        self.stats = stats if stats is not None else Stats()
         memory = MemoryCache(
             memory_entries, memory_bytes, stats=self.stats, ttl=ttl
         )

@@ -80,7 +80,7 @@ def estimated_success_probability(
     is set, each qubit contributes exp(-(busy+idle time)/T1) over its
     active window, which penalises long-duration circuits.
 
-    *stats* is an optional :class:`~repro.sim.stats.SimStats` sink:
+    *stats* is an optional :class:`~repro.stats.Stats` sink:
     counters ``esp_two_qubit_evals`` / ``esp_readout_evals`` /
     ``esp_single_qubit_evals`` / ``esp_decoherence_qubits``, the ``esp``
     gauge (the returned value), and the ``esp`` time bucket.

@@ -66,9 +66,15 @@ class TestProfileCircuit:
 
 class TestReuseEvalStats:
     def _stats(self):
-        from repro.core.profile import ReuseEvalStats
+        from repro.stats import Stats
 
-        return ReuseEvalStats()
+        return Stats()
+
+    @staticmethod
+    def _hit_rate(stats):
+        from repro.stats import rate
+
+        return rate(stats, "cache_hits", "cache_hits", "evaluations")
 
     def test_counters_accumulate(self):
         stats = self._stats()
@@ -95,17 +101,10 @@ class TestReuseEvalStats:
 
     def test_cache_hit_rate(self):
         stats = self._stats()
-        assert stats.cache_hit_rate == 0.0
+        assert self._hit_rate(stats) == 0.0
         stats.count("evaluations", 3)
         stats.count("cache_hits", 1)
-        assert stats.cache_hit_rate == pytest.approx(0.25)
-
-    def test_per_step_time(self):
-        stats = self._stats()
-        assert stats.per_step_time("score") == 0.0
-        stats.count("steps", 4)
-        stats.add_time("score", 2.0)
-        assert stats.per_step_time("score") == pytest.approx(0.5)
+        assert self._hit_rate(stats) == pytest.approx(0.25)
 
     def test_merge_and_reset(self):
         a = self._stats()
@@ -126,5 +125,4 @@ class TestReuseEvalStats:
         stats.add_time("score", 0.25)
         text = stats.summary()
         assert "evaluations=2" in text
-        assert "hit_rate=" in text
         assert "score_s=0.250" in text

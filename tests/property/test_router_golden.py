@@ -23,7 +23,8 @@ import pytest
 from repro.circuit import to_qasm
 from repro.circuit.random import random_circuit
 from repro.hardware import generic_backend, ibm_mumbai, line
-from repro.transpiler import Layout, RouteStats, sabre_layout, sabre_route, transpile
+from repro.stats import Stats
+from repro.transpiler import Layout, sabre_layout, sabre_route, transpile
 from repro.transpiler.basis import decompose_to_two_qubit
 from repro.transpiler.sabre import _route, _RoutingPlan
 from repro.workloads import (
@@ -276,7 +277,7 @@ def test_count_only_routing_matches_emitting(seed):
         circuit.num_qubits,
         coupling.num_qubits,
     )
-    emit_stats, count_stats = RouteStats(), RouteStats()
+    emit_stats, count_stats = Stats(), Stats()
     emitted = sabre_route(circuit, coupling, start, seed=seed, stats=emit_stats)
     final = start.copy()
     swaps = _route(_RoutingPlan(circuit), coupling, final, seed, count_stats)

@@ -10,9 +10,9 @@ from repro.service import (
     DEFAULT_SHARD,
     DiskCache,
     MemoryCache,
-    ServiceStats,
     TieredCache,
 )
+from repro.stats import Stats, rate
 
 
 class TestMemoryCache:
@@ -277,7 +277,7 @@ class TestTtlByBands:
 
 class TestTieredCache:
     def test_disk_hit_promoted_to_memory(self, tmp_path):
-        stats = ServiceStats()
+        stats = Stats()
         disk = DiskCache(str(tmp_path), stats=stats)
         disk.put("k", "v")
         tier = TieredCache(MemoryCache(stats=stats), disk)
@@ -311,14 +311,14 @@ class TestTieredCache:
 
 class TestStats:
     def test_rates_and_merge(self):
-        a = ServiceStats()
+        a = Stats()
         a.count("hits", 3)
         a.count("misses", 1)
         a.count("requests", 8)
         a.count("dedup_folds", 4)
-        assert a.hit_rate == pytest.approx(0.75)
-        assert a.dedup_rate == pytest.approx(0.5)
-        b = ServiceStats()
+        assert rate(a, "hits", "hits", "misses") == pytest.approx(0.75)
+        assert rate(a, "dedup_folds", "requests") == pytest.approx(0.5)
+        b = Stats()
         b.count("hits", 1)
         b.add_time("compile", 0.5)
         b.set_value("memory_bytes", 10.0)
@@ -327,10 +327,20 @@ class TestStats:
         assert a.timers["compile"] == pytest.approx(0.5)
         assert "hits=4" in a.summary()
         a.reset()
-        assert a.hit_rate == 0.0 and a.summary() == ""
+        assert rate(a, "hits", "hits", "misses") == 0.0 and a.summary() == ""
+
+    def test_dict_roundtrip(self):
+        stats = Stats()
+        stats.count("hits", 2)
+        stats.add_time("lookup", 0.25)
+        stats.set_value("memory_bytes", 10.0)
+        stats.observe("request_latency", 0.02)
+        clone = Stats.from_dict(stats.to_dict())
+        assert clone.to_dict() == stats.to_dict()
+        assert clone.histograms["request_latency"].count == 1
 
     def test_timed_context(self):
-        stats = ServiceStats()
+        stats = Stats()
         with stats.timed("lookup"):
             pass
         assert stats.timers["lookup"] >= 0.0

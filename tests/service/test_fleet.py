@@ -373,6 +373,14 @@ class TestPeerFill:
         # long probe interval: the test drives membership by hand
         gateway = start_gateway_thread(backends=urls, probe_interval=600.0)
         try:
+            # every member is due for a probe at start; wait out that
+            # first round, or a probe still in flight reports success
+            # after the owner is marked down below and rejoins it
+            fleet = gateway.gateway.fleet
+            deadline = time.monotonic() + 10.0
+            while any(fleet.health[url].next_probe <= 0.0 for url in urls):
+                assert time.monotonic() < deadline, "first probe round never ended"
+                time.sleep(0.01)
             ring = HashRing(urls)
             # a circuit whose full-ring owner is a specific member; with
             # bv widths 3..16 both members own at least one key

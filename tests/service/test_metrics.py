@@ -19,16 +19,14 @@ import pytest
 
 from repro.exceptions import ServiceError
 from repro.service import (
-    DEFAULT_BUCKETS,
     CompileService,
-    LatencyHistogram,
     RemoteCompileService,
-    ServiceStats,
     render_prometheus,
     start_server_thread,
 )
 from repro.service.reqlog import RECORD_FIELDS, REQUEST_LOG_ENV, RequestLog
 from repro.service.service import CompileRequest
+from repro.stats import DEFAULT_BUCKETS, LatencyHistogram, Stats
 from repro.workloads import bv_circuit
 
 # -- a strict mini-parser for Prometheus text format 0.0.4 ---------------------
@@ -165,7 +163,7 @@ class TestLatencyHistogram:
 
 class TestStatsHistograms:
     def test_observe_creates_and_accumulates(self):
-        stats = ServiceStats()
+        stats = Stats()
         stats.observe("request_latency", 0.02)
         stats.observe("request_latency", 0.5)
         assert stats.histograms["request_latency"].count == 2
@@ -173,10 +171,10 @@ class TestStatsHistograms:
         assert snapshot["histograms"]["request_latency"]["count"] == 2
 
     def test_to_dict_omits_empty_histograms(self):
-        assert "histograms" not in ServiceStats().to_dict()
+        assert "histograms" not in Stats().to_dict()
 
     def test_merge_folds_histograms_and_keeps_counters(self):
-        a, b = ServiceStats(), ServiceStats()
+        a, b = Stats(), Stats()
         a.count("requests", 2)
         a.observe("request_latency", 0.01)
         b.count("requests", 3)
@@ -188,7 +186,7 @@ class TestStatsHistograms:
         assert a.histograms["serialize"].count == 1
 
     def test_reset_clears_histograms(self):
-        stats = ServiceStats()
+        stats = Stats()
         stats.observe("request_latency", 0.01)
         stats.reset()
         assert stats.histograms == {}
@@ -199,7 +197,7 @@ class TestStatsHistograms:
 
 class TestRenderPrometheus:
     def _stats(self):
-        stats = ServiceStats()
+        stats = Stats()
         stats.count("requests", 3)
         stats.count("http:/v1/compile", 2)
         stats.count("portfolio_wins:qs_min_depth", 1)
@@ -257,7 +255,7 @@ class TestRenderPrometheus:
         assert labelled == 1
 
     def test_label_values_are_escaped(self):
-        stats = ServiceStats()
+        stats = Stats()
         stats.count('http:/v1/"x"\\y\nz', 1)
         body = render_prometheus(stats)
         types, samples = parse_prometheus(body)
@@ -267,7 +265,7 @@ class TestRenderPrometheus:
         assert sample[1]["path"] == '/v1/\\"x\\"\\\\y\\nz'
 
     def test_unlabelled_families_fall_back_to_key_label(self):
-        stats = ServiceStats()
+        stats = Stats()
         stats.count("made_up_family:some_key", 4)
         _, samples = parse_prometheus(render_prometheus(stats))
         assert (
@@ -414,7 +412,7 @@ class TestMetricsEndpoint:
     def test_cold_compile_surfaces_engine_stats(self, client):
         from repro.hardware import generic_backend, line
 
-        # min_swap runs the SR router, whose RouteStats ride the report;
+        # min_swap runs the SR router, whose Stats ride the report;
         # the server folds them into their own caqr_route_* prefix
         request = CompileRequest(
             target=bv_circuit(5),

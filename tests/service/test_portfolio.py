@@ -23,7 +23,7 @@ from repro.service import (
     PortfolioCompileService,
     StrategySpec,
 )
-from repro.service.stats import ServiceStats
+from repro.stats import Stats
 from repro.workloads import bv_circuit
 
 SEMANTIC_FIELDS = [
@@ -93,6 +93,31 @@ def test_repeated_compiles_are_identical():
     first = caqr_compile(circuit, strategy="portfolio", parallel=False)
     second = caqr_compile(circuit, strategy="portfolio", parallel=False)
     _assert_same_report(first, second, "repeat")
+
+
+@pytest.mark.parametrize(
+    "mode,knobs",
+    [("min_depth", {}), ("min_swap", {}), ("qubit_budget", {"qubit_limit": 4})],
+)
+def test_serial_race_never_forks_layout_pools(mode, knobs, monkeypatch):
+    """``parallel=False`` reaches every lane's transpile: no SABRE layout
+    pool is built even where the route worker count would allow one."""
+    import repro.transpiler.sabre as sabre
+
+    pools = []
+
+    def no_pool(*args, **kwargs):
+        pools.append(kwargs)
+        raise AssertionError("parallel=False compile built a process pool")
+
+    monkeypatch.setenv("CAQR_ROUTE_WORKERS", "2")
+    monkeypatch.setattr(sabre, "ProcessPoolExecutor", no_pool)
+    report = caqr_compile(
+        bv_circuit(6), ibm_mumbai(), mode=mode, strategy="portfolio",
+        parallel=False, portfolio_workers=1, **knobs,
+    )
+    assert pools == []
+    assert not report.strategy_errors, report.strategy_errors
 
 
 # -- SR lane seed diversity ----------------------------------------------------
@@ -265,7 +290,7 @@ def test_unknown_strategy_kind_is_an_error_not_a_crash():
 
 
 def test_win_rate_accounting():
-    stats = ServiceStats()
+    stats = Stats()
     service = PortfolioCompileService(stats=stats)
     first = service.compile(bv_circuit(4), objective="qubits", parallel=False)
     second = service.compile(bv_circuit(5), objective="qubits", parallel=False)

@@ -1,5 +1,6 @@
 """CompileService behaviour: hits, dedup, batching, corruption recovery."""
 
+import json
 import threading
 
 import pytest
@@ -15,6 +16,7 @@ from repro.service import (
     resolve_cache,
 )
 from repro.service.serialization import SCHEMA_VERSION
+from repro.stats import rate
 from repro.workloads import bv_circuit, random_graph
 
 
@@ -43,7 +45,7 @@ class TestSingleRequests:
         assert _report_fields(cold) == _report_fields(warm)
         assert service.stats.counters["misses"] == 1
         assert service.stats.counters["hits"] == 1
-        assert service.stats.hit_rate == pytest.approx(0.5)
+        assert rate(service.stats, "hits", "hits", "misses") == pytest.approx(0.5)
 
     def test_different_knobs_are_different_entries(self):
         service = CompileService()
@@ -143,6 +145,24 @@ class TestDiskPersistence:
         fresh = CompileService(cache_dir=str(tmp_path))
         assert fresh.compile(bv_circuit(5)).from_cache is False
         assert fresh.stats.counters["corrupt_entries"] == 1
+
+    @pytest.mark.parametrize("strategy,field", [("auto", "eval_stats"), ("chain", "chain_stats")])
+    def test_entry_without_stat_gauges_still_loads(self, tmp_path, strategy, field):
+        """Schema-4 entries written before every stats record carried
+        ``values`` decode with empty gauges instead of missing."""
+        service = CompileService(cache_dir=str(tmp_path))
+        cold = service.compile(bv_circuit(5), strategy=strategy)
+        [entry] = list(tmp_path.rglob("*.json"))
+        payload = json.loads(entry.read_text())
+        assert payload["schema"] == SCHEMA_VERSION == 4
+        del payload["report"][field]["values"]
+        entry.write_text(json.dumps(payload, sort_keys=True))
+        fresh = CompileService(cache_dir=str(tmp_path))
+        warm = fresh.compile(bv_circuit(5), strategy=strategy)
+        assert warm.from_cache is True
+        assert fresh.stats.counters.get("corrupt_entries", 0) == 0
+        assert getattr(warm, field) == getattr(cold, field)
+        assert getattr(warm, field).values == {}
 
     def test_clear(self, tmp_path):
         service = CompileService(cache_dir=str(tmp_path))
