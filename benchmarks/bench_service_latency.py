@@ -1,21 +1,15 @@
-"""Compile-service hot-path latency: persistent pool and envelope cache.
+"""Compile-service warm-hit latency: the encoded-envelope cache.
 
-The two perf claims of the zero-copy hot path, each measured and gated:
+Repeated ``/v1/compile`` for one warm fingerprint against a server with
+the encoded-envelope cache on vs. off.  The envelope path skips
+``report_to_dict`` + JSON per hit; the gate is soft (within
+``ENVELOPE_SLACK`` of the non-envelope median and at least one counted
+``envelope_hits``) because small-circuit serialization is already cheap.
 
-* **warm-batch re-dispatch** — the same 3-member batch dispatched
-  repeatedly (cache cleared between rounds, so every round recompiles)
-  through an ``ephemeral`` service (fresh process pool + full request
-  pickle per call) vs. a ``persistent`` one (long-lived pool, request
-  records shipped once, then fingerprint-only tasks).  Persistent rounds
-  are primed past the record-shipping window first, so the timed rounds
-  measure the steady state.  Gate: ephemeral median >= ``MIN_SPEEDUP`` x
-  persistent median;
-* **warm-hit HTTP latency** — repeated ``/v1/compile`` for one warm
-  fingerprint against a server with the encoded-envelope cache on vs.
-  off.  The envelope path skips ``report_to_dict`` + JSON per hit; the
-  gate is soft (within ``ENVELOPE_SLACK`` of the non-envelope median and
-  at least one counted ``envelope_hits``) because small-circuit
-  serialization is already cheap.
+The pooled re-dispatch gate (one executor across re-dispatches; records
+ship once per worker) is the tier-1 test
+``tests/service/test_workers.py::TestServiceIntegration::
+test_redispatch_builds_one_executor_and_ships_records_once_per_worker``.
 
 Run with
 ``PYTHONPATH=src python -m pytest benchmarks/bench_service_latency.py``.
@@ -35,76 +29,11 @@ from repro.service import (
 )
 from repro.workloads import bv_circuit
 
-#: Hard gate: steady-state persistent re-dispatch must beat the
-#: spawn-a-pool-per-call path by at least this factor.
-MIN_SPEEDUP = 2.0
-
 #: Soft gate: envelope-on warm hits may not be slower than envelope-off
 #: by more than this factor (they should be faster; the bar caps noise).
 ENVELOPE_SLACK = 1.25
 
-BATCH_WIDTHS = (4, 5, 6)
-PRIME_ROUNDS = 3  # > records-shipped window (max_workers=2) for persistent
-TIMED_ROUNDS = 7
 WARM_HITS = 150
-
-
-def _median_redispatch(service):
-    requests = [CompileRequest(target=bv_circuit(n)) for n in BATCH_WIDTHS]
-    for _ in range(PRIME_ROUNDS):
-        service.cache.clear()
-        service.compile_batch(requests, parallel=True, max_workers=2)
-    samples = []
-    for _ in range(TIMED_ROUNDS):
-        service.cache.clear()
-        start = time.perf_counter()
-        service.compile_batch(requests, parallel=True, max_workers=2)
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
-
-
-def test_persistent_pool_redispatch_speedup(benchmark):
-    def run():
-        ephemeral = CompileService(max_workers=2, workers_mode="ephemeral")
-        persistent = CompileService(max_workers=2, workers_mode="persistent")
-        try:
-            ephemeral_s = _median_redispatch(ephemeral)
-            persistent_s = _median_redispatch(persistent)
-            spawns = persistent.stats.counters["worker_pool_spawns"]
-            shipped = persistent.stats.counters["worker_records_shipped"]
-            tasks = persistent.stats.counters["worker_tasks"]
-        finally:
-            ephemeral.close()
-            persistent.close()
-        return ephemeral_s, persistent_s, spawns, shipped, tasks
-
-    ephemeral_s, persistent_s, spawns, shipped, tasks = once(benchmark, run)
-    speedup = ephemeral_s / persistent_s
-
-    rows = [
-        ["ephemeral (pool per call)", f"{ephemeral_s * 1000:.1f}", "1.00x"],
-        [
-            "persistent (zero-copy)",
-            f"{persistent_s * 1000:.1f}",
-            f"{speedup:.2f}x",
-        ],
-    ]
-    text = format_table(
-        ["mode", "median re-dispatch (ms)", "speedup"], rows
-    ) + (
-        f"\n{PRIME_ROUNDS} prime + {TIMED_ROUNDS} timed rounds of a "
-        f"{len(BATCH_WIDTHS)}-member batch, max_workers=2\n"
-        f"persistent pool spawns={spawns}, records shipped={shipped}, "
-        f"tasks={tasks}"
-    )
-    emit("bench_service_latency_pool", text)
-
-    assert spawns == 1, "the persistent pool must be spawned exactly once"
-    assert speedup >= MIN_SPEEDUP, (
-        f"persistent re-dispatch only {speedup:.2f}x faster than ephemeral "
-        f"(gate: {MIN_SPEEDUP}x; ephemeral {ephemeral_s * 1000:.1f}ms vs "
-        f"persistent {persistent_s * 1000:.1f}ms)"
-    )
 
 
 def _warm_hit_latencies(handle, request):

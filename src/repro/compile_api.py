@@ -165,8 +165,9 @@ def caqr_compile(
             ``"depth"``, or ``"est_error"`` (``"est_error"`` needs a
             backend under ``"portfolio"``).  Valid with
             ``strategy="portfolio"`` or ``strategy="chain"``.
-        portfolio_workers: process-pool width for the portfolio race
-            (``None`` uses the process-wide default service).  An engine
+        portfolio_workers: fan-out width for the portfolio race; ``1``
+            races serially (``None`` uses the process-wide default
+            service).  An engine
             knob: never changes the winning result, only how fast the
             race runs.
         calib_bands: drift tolerance of the cache key's backend digest —
@@ -207,29 +208,23 @@ def caqr_compile(
             default_portfolio_service,
         )
 
-        ephemeral_service = (
-            None
+        service = (
+            default_portfolio_service()
             if portfolio_workers is None
             else PortfolioCompileService(max_workers=portfolio_workers)
         )
-        service = ephemeral_service or default_portfolio_service()
-        try:
-            return service.compile(
-                target,
-                backend=backend,
-                mode=mode,
-                qubit_limit=qubit_limit,
-                reset_style=reset_style,
-                seed=seed,
-                auto_commuting=auto_commuting,
-                incremental=incremental,
-                parallel=parallel,
-                objective=objective if objective is not None else "qubits",
-            )
-        finally:
-            if ephemeral_service is not None:
-                # a one-call service must not leak its worker pool
-                ephemeral_service.close()
+        return service.compile(
+            target,
+            backend=backend,
+            mode=mode,
+            qubit_limit=qubit_limit,
+            reset_style=reset_style,
+            seed=seed,
+            auto_commuting=auto_commuting,
+            incremental=incremental,
+            parallel=parallel,
+            objective=objective if objective is not None else "qubits",
+        )
     # caqr_compile's ``parallel`` means "allow": map it onto the routers'
     # tri-state knob (None = auto-detect, False = serial)
     route_parallel = None if parallel else False

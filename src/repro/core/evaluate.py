@@ -17,9 +17,9 @@ plus ``concurrent.futures`` fan-out for large circuits.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
+from repro import pool
 from repro.circuit import gates
 from repro.dag.analysis import (
     asap_finish_times,
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 # below this many (candidates x dag nodes) the scorer stays in-process:
-# pool startup and pickling dwarf the evaluation itself for small sweeps
+# shipping the DAG to the workers dwarfs the evaluation for small sweeps
 PARALLEL_WORKLOAD_THRESHOLD = 250_000
 
 
@@ -183,17 +183,19 @@ class PairScorer:
     Scores are memoised until :meth:`invalidate` is called (the greedy
     drivers call it whenever a pair is applied, since every cost can shift
     with the DAG).  Batches whose workload (``candidates × nodes``) exceeds
-    *parallel_threshold* are chunked over a ``ProcessPoolExecutor``;
-    smaller batches run serially — pool startup would dominate.
+    *parallel_threshold* are chunked over the shared process pool
+    (:mod:`repro.pool`); smaller batches run serially — shipping the DAG
+    to the workers would dominate.
 
     Args:
         objective: ``"depth"`` or ``"duration"`` (matches
             :class:`~repro.core.qs_caqr.QSCaQR`).
         reset_style: reuse reset idiom, priced into the duration objective.
-        parallel: master switch for the process pool.
+        parallel: master switch for the shared process pool.
         parallel_threshold: minimum ``len(pairs) * len(dag)`` workload
             before fanning out.
-        max_workers: pool size (default: ``os.cpu_count()`` capped at 8).
+        max_workers: chunk count of a pooled batch; at most one keeps it
+            serial (default: the shared pool's width).
         stats: optional :class:`~repro.stats.Stats` sink.
     """
 
@@ -212,10 +214,9 @@ class PairScorer:
         self.reset_style = reset_style
         self.parallel = parallel
         self.parallel_threshold = parallel_threshold
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = max_workers or pool.width()
         self.stats = stats
         self._cache: Dict[ReusePair, int] = {}
-        self._executor = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -223,26 +224,7 @@ class PairScorer:
         """Drop all memoised scores (a pair was applied; costs shifted)."""
         self._cache.clear()
 
-    def close(self) -> None:
-        """Shut down the process pool, if one was started."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "PairScorer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- scoring -----------------------------------------------------------
-
-    def _pool(self):
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
 
     def score_all(
         self,
@@ -263,6 +245,7 @@ class PairScorer:
                 self.parallel
                 and len(missing) >= 2 * self.max_workers
                 and workload >= self.parallel_threshold
+                and pool.use_pool(None, len(missing), self.max_workers)
             ):
                 costs = self._score_parallel(dag, missing, nodes_by_qubit)
             else:
@@ -283,18 +266,11 @@ class PairScorer:
             self.stats.count("parallel_batches")
         if nodes_by_qubit is None:
             nodes_by_qubit = _nodes_by_qubit(dag)
-        chunk = max(1, -(-len(pairs) // self.max_workers))
-        payloads = [
-            (
-                dag,
-                pairs[i : i + chunk],
-                self.objective,
-                self.reset_style,
-                nodes_by_qubit,
-            )
-            for i in range(0, len(pairs), chunk)
-        ]
-        costs: List[int] = []
-        for part in self._pool().map(_score_chunk_worker, payloads):
-            costs.extend(part)
-        return costs
+        return pool.map_chunked(
+            _score_chunk_worker,
+            pairs,
+            self.max_workers,
+            lambda part: (
+                dag, part, self.objective, self.reset_style, nodes_by_qubit
+            ),
+        )

@@ -94,7 +94,8 @@ class QSCaQR:
             workload thresholds in :mod:`repro.core.evaluate` and
             :mod:`repro.core.session`).
         parallel_threshold: override both fan-out thresholds at once.
-        max_workers: process-pool size.
+        max_workers: chunk count of a pooled batch (default: the shared
+            pool's width, :func:`repro.pool.width`).
 
     The instance's :attr:`stats` (a
     :class:`~repro.stats.Stats`) accumulates evaluation
@@ -276,15 +277,15 @@ class QSCaQR:
         if not self.incremental:
             return self._sweep_reference(circuit, min_qubits)
         points = [self._point(circuit, [])]
-        with self._session(circuit) as session, self._scorer() as scorer:
-            while session.num_qubits > min_qubits:
-                pair = self._best_pair_session(session, scorer)
-                if pair is None:
-                    break
-                with self.stats.timed("apply"):
-                    session.apply(pair)
-                scorer.invalidate()
-                points.append(self._point(session.circuit, session.pairs))
+        session, scorer = self._session(circuit), self._scorer()
+        while session.num_qubits > min_qubits:
+            pair = self._best_pair_session(session, scorer)
+            if pair is None:
+                break
+            with self.stats.timed("apply"):
+                session.apply(pair)
+            scorer.invalidate()
+            points.append(self._point(session.circuit, session.pairs))
         return points
 
     def _sweep_reference(
@@ -321,15 +322,15 @@ class QSCaQR:
             return self._point(circuit, [])
         if not self.incremental:
             return self._reduce_to_reference(circuit, qubit_limit)
-        with self._session(circuit) as session, self._scorer() as scorer:
-            while session.num_qubits > qubit_limit:
-                pair = self._best_pair_session(session, scorer)
-                if pair is None:
-                    return self._point(session.circuit, session.pairs, feasible=False)
-                with self.stats.timed("apply"):
-                    session.apply(pair)
-                scorer.invalidate()
-            return self._point(session.circuit, session.pairs)
+        session, scorer = self._session(circuit), self._scorer()
+        while session.num_qubits > qubit_limit:
+            pair = self._best_pair_session(session, scorer)
+            if pair is None:
+                return self._point(session.circuit, session.pairs, feasible=False)
+            with self.stats.timed("apply"):
+                session.apply(pair)
+            scorer.invalidate()
+        return self._point(session.circuit, session.pairs)
 
     def _reduce_to_reference(
         self, circuit: QuantumCircuit, qubit_limit: int

@@ -21,12 +21,12 @@ quantifies the difference.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
+from repro import pool
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
 from repro.exceptions import ReuseError
@@ -51,7 +51,7 @@ REUSE_GATE_WEIGHT = 4
 GREEDY_MATCHING_THRESHOLD = 120
 
 # below this many (candidates x graph edges) the per-candidate scheduler
-# runs stay in-process: pool startup dwarfs the work for small graphs
+# runs stay in-process: pickling to workers dwarfs the work for small graphs
 COMMUTING_PARALLEL_THRESHOLD = 20_000
 
 
@@ -366,11 +366,13 @@ class QSCaQRCommuting:
         max_candidates: cap on (source, target) candidates examined per
             greedy step; low-degree qubits are preferred since they finish
             earliest (the paper's power-law observation).
-        parallel: fan per-candidate scheduler runs out to a process pool
-            when the step workload (candidates × edges) is large enough.
+        parallel: fan per-candidate scheduler runs out to the shared
+            process pool when the step workload (candidates × edges) is
+            large enough.
         parallel_threshold: workload floor before fanning out (default
             :data:`COMMUTING_PARALLEL_THRESHOLD`).
-        max_workers: pool size (default ``os.cpu_count()`` capped at 8).
+        max_workers: chunk count of a pooled step; at most one keeps it
+            serial (default: the shared pool's width).
         stats: :class:`~repro.stats.Stats` sink (one is
             created when omitted).
     """
@@ -418,30 +420,16 @@ class QSCaQRCommuting:
             if parallel_threshold is not None
             else COMMUTING_PARALLEL_THRESHOLD
         )
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = max_workers or pool.width()
         self.stats = stats if stats is not None else Stats()
-        self._executor = None
 
     # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the candidate-scoring process pool, if one started."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
 
     def __enter__(self) -> "QSCaQRCommuting":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _pool(self):
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
+        """Nothing to release: the process pool is shared (:mod:`repro.pool`)."""
 
     # -- helpers -----------------------------------------------------------------
 
@@ -539,17 +527,15 @@ class QSCaQRCommuting:
             self.parallel
             and len(candidates) >= 2 * self.max_workers
             and workload >= self.parallel_threshold
+            and pool.use_pool(None, len(candidates), self.max_workers)
         ):
             self.stats.count("parallel_batches")
-            chunk = max(1, -(-len(candidates) // self.max_workers))
-            payloads = [
-                (self.graph, list(pairs), candidates[i : i + chunk], self.matching)
-                for i in range(0, len(candidates), chunk)
-            ]
-            costs: List[Optional[int]] = []
-            for part in self._pool().map(_extension_cost_worker, payloads):
-                costs.extend(part)
-            return costs
+            return pool.map_chunked(
+                _extension_cost_worker,
+                candidates,
+                self.max_workers,
+                lambda part: (self.graph, list(pairs), part, self.matching),
+            )
         self.stats.count("serial_batches")
         return _extension_cost_worker(
             (self.graph, list(pairs), candidates, self.matching)

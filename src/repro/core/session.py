@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
+from repro import pool
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
 from repro.core.conditions import ReusePair
@@ -254,7 +255,8 @@ class ReuseSession:
             when the per-step workload is large enough.
         parallel_threshold: minimum ``candidates × labels²`` workload
             before fanning out.
-        max_workers: pool size (default ``os.cpu_count()`` capped at 8).
+        max_workers: chunk count of a pooled lookahead; at most one keeps
+            it serial (default: the shared pool's width).
         stats: counter/timer sink (one is created when omitted).
     """
 
@@ -272,7 +274,7 @@ class ReuseSession:
         self.reset_style = reset_style
         self.parallel = parallel
         self.parallel_threshold = parallel_threshold
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = max_workers or pool.width()
         self.stats = stats if stats is not None else Stats()
         self.circuit = circuit
         self.dag = DAGCircuit.from_circuit(circuit)
@@ -280,7 +282,6 @@ class ReuseSession:
         self.generation = 0
         self.pairs: List[ReusePair] = []
         self._num_clbits = circuit.num_clbits
-        self._executor = None
         self._state_cache: Optional[dict] = None
         self._np_state_cache: Optional[dict] = None
         self._potential_cache: Dict[ReusePair, int] = {}
@@ -302,20 +303,6 @@ class ReuseSession:
             for kind, wire in _wires(self.dag.nodes[node_id].instruction):
                 if kind == "c":
                     self._clbit_last[wire] = node_id
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the lookahead process pool, if one was started."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "ReuseSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- queries ---------------------------------------------------------------
 
@@ -412,13 +399,6 @@ class ReuseSession:
             self._np_state_cache = _derive_np_state(self._state())
         return self._np_state_cache
 
-    def _pool(self):
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
     def reuse_potentials(
         self, pairs: Sequence[ReusePair]
     ) -> Dict[ReusePair, int]:
@@ -435,16 +415,15 @@ class ReuseSession:
                 self.parallel
                 and len(missing) >= 2 * self.max_workers
                 and workload >= self.parallel_threshold
+                and pool.use_pool(None, len(missing), self.max_workers)
             ):
                 self.stats.count("parallel_batches")
-                chunk = max(1, -(-len(missing) // self.max_workers))
-                payloads = [
-                    (state, missing[i : i + chunk])
-                    for i in range(0, len(missing), chunk)
-                ]
-                values: List[int] = []
-                for part in self._pool().map(_potential_chunk_worker, payloads):
-                    values.extend(part)
+                values = pool.map_chunked(
+                    _potential_chunk_worker,
+                    missing,
+                    self.max_workers,
+                    lambda part: (state, part),
+                )
             elif _lookahead_kernel() == "nx":
                 self.stats.count("serial_batches")
                 values = [

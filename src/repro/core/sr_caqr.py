@@ -36,7 +36,7 @@ Two interchangeable scheduler engines are provided (``incremental=``):
 
 Both engines emit bit-identical circuits; ``tests/property`` pins them
 against each other.  ``SRCaQR.run`` can fan its candidate × hint-seed
-trial grid out to a process pool (``parallel=`` / ``CAQR_ROUTE_WORKERS``)
+trial grid out to the shared process pool (``parallel=``, :mod:`repro.pool`)
 with a grid-ordered reduction that keeps the selection bit-identical to
 the serial sweep (see ``docs/ROUTER.md``).
 """
@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
 
+from repro import pool
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
 from repro.dag.dagcircuit import DAGCircuit
@@ -60,7 +60,7 @@ from repro.hardware.backends import Backend
 from repro.stats import Stats
 from repro.transpiler.basis import decompose_to_two_qubit
 from repro.transpiler.layout import Layout
-from repro.transpiler.sabre import _route_workers, sabre_layout
+from repro.transpiler.sabre import sabre_layout
 from repro.transpiler.scheduling import circuit_duration_dt
 
 __all__ = ["SRCaQRResult", "SRCaQR"]
@@ -110,12 +110,12 @@ class SRCaQR:
         incremental: use the incremental scheduler engine (default); the
             from-scratch reference engine is kept for differential testing
             and benchmarking.
-        parallel: ``True`` forces the trial grid onto a process pool,
-            ``False`` forces the serial sweep, ``None`` (default) uses the
-            pool only when more than one worker (``CAQR_ROUTE_WORKERS``)
-            and more than one grid cell are available.
-        max_workers: worker-pool size cap (default ``CAQR_ROUTE_WORKERS``
-            or ``min(cpu_count, 8)``).
+        parallel: ``True`` forces the trial grid onto the shared process
+            pool, ``False`` forces the serial sweep, ``None`` (default)
+            pools only when more than one worker and more than one grid
+            cell are available (:func:`repro.pool.use_pool`).
+        max_workers: fan-out width for that decision (default: the
+            shared pool's width, :func:`repro.pool.width`).
     """
 
     def __init__(
@@ -260,21 +260,12 @@ class SRCaQR:
             (candidate, seed) for candidate in candidates for seed in seeds
         ]
         requested = parallel if parallel is not None else self.parallel
-        workers = self.max_workers or _route_workers()
-        use_parallel = (
-            requested
-            if requested is not None
-            else (workers > 1 and len(grid) > 1)
-        )
 
         results: List[SRCaQRResult]
         with self.stats.timed("sr_run"):
-            if use_parallel and len(grid) > 1:
+            if pool.use_pool(requested, len(grid), self.max_workers):
                 payloads = [(self, candidate, seed) for candidate, seed in grid]
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(grid))
-                ) as pool:
-                    outcomes = list(pool.map(_sr_trial_worker, payloads))
+                outcomes = pool.map_pooled(_sr_trial_worker, payloads)
                 results = []
                 for result, trial_stats in outcomes:
                     self.stats.merge(trial_stats)

@@ -59,7 +59,7 @@ import ssl
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from urllib.parse import urlsplit
 
 from repro.exceptions import ServiceError
@@ -140,6 +140,9 @@ class _BackendPool:
         self._ssl = ssl_context if parts.scheme == "https" else None
         self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
         self._slots = asyncio.Semaphore(limit)
+        # closes still releasing their sockets (a TLS close takes a round
+        # trip), kept so aclose() can wait for them
+        self._closers: Set["asyncio.Future[None]"] = set()
 
     async def request(
         self,
@@ -172,6 +175,12 @@ class _BackendPool:
             raise _BackendDown(
                 f"{self.base_url}: {type(exc).__name__}: {exc}"
             ) from exc
+        except asyncio.CancelledError:
+            # cancelled mid-exchange (a probe at shutdown): the socket is
+            # in an unknown state, so it is closed, never pooled
+            if conn is not None:
+                self._discard(conn)
+            raise
         else:
             if resp_headers.get("connection", "").lower() == "close":
                 self._discard(conn)
@@ -207,12 +216,26 @@ class _BackendPool:
         _, writer = conn
         try:
             writer.close()
-        except Exception:
+        except RuntimeError:  # its event loop is already closed
+            return
+        closer = asyncio.ensure_future(self._released(writer))
+        self._closers.add(closer)
+        closer.add_done_callback(self._closers.discard)
+
+    @staticmethod
+    async def _released(writer: asyncio.StreamWriter) -> None:
+        try:
+            await writer.wait_closed()
+        except OSError:  # the peer reset it; the socket is released anyway
             pass
 
-    def close(self) -> None:
+    async def aclose(self, timeout: float) -> None:
+        """Close every pooled connection; wait up to *timeout* seconds for
+        their sockets (and any still closing) to be released."""
         while self._idle:
             self._discard(self._idle.pop())
+        if self._closers:
+            await asyncio.wait(set(self._closers), timeout=timeout)
 
 
 class GatewayServer(HttpHost):
@@ -324,8 +347,8 @@ class GatewayServer(HttpHost):
                 await self._prober_task
             except (asyncio.CancelledError, Exception):
                 pass
-        for pool in self._pools.values():
-            pool.close()
+        # never let a dead backend's TLS close wedge the shutdown
+        await asyncio.gather(*(pool.aclose(2.0) for pool in self._pools.values()))
         self._fingerprint_pool.shutdown(wait=False)
 
     # -- membership ------------------------------------------------------------

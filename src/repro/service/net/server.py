@@ -199,7 +199,7 @@ class CompileServer(HttpHost):
     Args:
         service: the service to front (default: a fresh memory-only one).
         max_workers: compile worker threads (default: the service's
-            ``max_workers``, i.e. ``os.cpu_count()`` capped at 8).
+            ``max_workers``, i.e. usable CPUs capped at 8).
         max_concurrency: admitted compile requests before ``429``.
         request_timeout: seconds before an admitted compile answers
             ``504 timeout`` (the compile keeps running server-side).
@@ -737,7 +737,6 @@ def run_server(
     max_body: int = DEFAULT_MAX_BODY,
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-    workers_mode: Optional[str] = None,
     disk_entries: Optional[int] = None,
     disk_bytes: Optional[int] = None,
     request_log: Optional[str] = None,
@@ -754,7 +753,6 @@ def run_server(
     service = CompileService(
         cache_dir=cache_dir,
         ttl=ttl,
-        workers_mode=workers_mode,
         disk_entries=disk_entries,
         disk_bytes=disk_bytes,
     )

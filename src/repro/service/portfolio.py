@@ -4,11 +4,11 @@ CaQR's engines embody different heuristics — QS-CaQR's depth-greedy pair
 selection, its duration objective, narrow-lookahead variants, SR-CaQR's
 trial seeds, the commuting-gate pipeline's degree/lifetime sweeps — and
 none dominates on every circuit.  :class:`PortfolioCompileService` runs a
-deterministic roster of them concurrently over the repo's process-pool
-idiom, adds the **exact tier** (:class:`~repro.core.exact.ExactReuse`,
-gated on circuit size and a node budget) when the circuit is small enough
-to solve to optimality, and declares a winner under a user-declared
-objective:
+deterministic roster of them concurrently over the shared process pool
+(:mod:`repro.pool`), adds the **exact tier**
+(:class:`~repro.core.exact.ExactReuse`, gated on circuit size and a node
+budget) when the circuit is small enough to solve to optimality, and
+declares a winner under a user-declared objective:
 
 * ``"qubits"`` — fewest active qubits (ties: depth);
 * ``"depth"`` — smallest depth (ties: qubits);
@@ -49,13 +49,12 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from threading import Lock
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
+from repro import pool
 from repro.analysis.metrics import collect_metrics
 from repro.circuit.circuit import QuantumCircuit
 from repro.compile_api import CompileReport, _all_to_all, caqr_compile
@@ -75,7 +74,7 @@ from repro.core.transform import apply_reuse_chain
 from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
 from repro.service.service import CompileRequest
-from repro.service.workers import WorkerPool, resolve_workers_mode
+from repro.service.workers import WorkerPool
 from repro.sim.metrics import estimated_success_probability
 from repro.stats import Stats, rate
 from repro.transpiler.pipeline import transpile
@@ -451,8 +450,9 @@ class PortfolioCompileService:
     """Race the engine roster; return the objective-best report.
 
     Args:
-        max_workers: process-pool cap for the strategy fan-out (default:
-            the repo-wide ``min(cpu_count, 8)`` idiom).
+        max_workers: strategy fan-out width; at most one races the
+            lanes serially (default: the shared pool's width, see
+            :mod:`repro.pool`).
         stats: optional shared :class:`Stats` sink for win-rate /
             error counters and per-strategy timers.
         exact_max_nodes: anytime node budget handed to the exact tier.
@@ -461,11 +461,6 @@ class PortfolioCompileService:
             :class:`StrategySpec`); ``None`` builds the default roster
             per request.  The override replaces the roster wholesale —
             tests use it to inject poisoned strategies.
-        workers_mode: ``"persistent"`` (default; ``$CAQR_WORKERS_MODE``)
-            races lanes over a long-lived
-            :class:`~repro.service.workers.WorkerPool` with the request
-            shipped once per worker; ``"ephemeral"`` keeps the per-race
-            pool.
         state_path: optional JSON file persisting the win-rate counters
             (the self-tuned submission order) across restarts — loaded
             on construction, rewritten atomically after every race.
@@ -478,34 +473,21 @@ class PortfolioCompileService:
         exact_max_nodes: int = DEFAULT_EXACT_MAX_NODES,
         exact_max_qubits: int = DEFAULT_EXACT_MAX_QUBITS,
         strategies: Optional[List[StrategySpec]] = None,
-        workers_mode: Optional[str] = None,
         state_path: Optional[str] = None,
     ):
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = max_workers or pool.width()
         self.stats = stats if stats is not None else Stats()
         self.exact_max_nodes = exact_max_nodes
         self.exact_max_qubits = exact_max_qubits
         self.strategies = strategies
-        self.workers_mode = resolve_workers_mode(workers_mode)
         self.state_path = state_path
-        self._worker_pool: Optional[WorkerPool] = None
-        self._pool_lock = Lock()
+        self.workers = WorkerPool(stats=self.stats)
         if state_path:
             self._load_state()
 
-    def worker_pool(self) -> WorkerPool:
-        """The lazily spawned persistent race pool (shared stats sink)."""
-        with self._pool_lock:
-            if self._worker_pool is None:
-                self._worker_pool = WorkerPool(self.max_workers, stats=self.stats)
-            return self._worker_pool
-
     def close(self) -> None:
-        """Shut the persistent worker pool down (idempotent)."""
-        with self._pool_lock:
-            if self._worker_pool is not None:
-                self._worker_pool.shutdown()
-                self._worker_pool = None
+        """Drop the worker record caches (idempotent); the shared pool stays up."""
+        self.workers.shutdown()
 
     # -- win-rate persistence --------------------------------------------------
 
@@ -704,26 +686,21 @@ class PortfolioCompileService:
         extracted,
         parallel: bool,
     ) -> List[StrategyOutcome]:
-        payloads = [(spec, request, extracted) for spec in specs]
-        workers = min(self.max_workers, len(payloads))
-        if parallel and workers > 1 and len(payloads) > 1:
+        if pool.use_pool(None if parallel else False, len(specs), self.max_workers):
             self.stats.count("portfolio_parallel_races")
             with self.stats.timed("portfolio_race"):
-                if self.workers_mode == "persistent":
-                    # one fingerprint for the whole race: every lane
-                    # shares the request, so warm workers decode it once
-                    fingerprint = request.fingerprint()
-                    tasks = [
-                        ("strategy", fingerprint, request, spec) for spec in specs
-                    ]
-                    outcomes = self.worker_pool().run(tasks)
-                else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        outcomes = list(pool.map(_run_strategy_worker, payloads))
+                # one fingerprint for the whole race: every lane
+                # shares the request, so warm workers decode it once
+                fingerprint = request.fingerprint()
+                tasks = [("strategy", fingerprint, request, spec) for spec in specs]
+                outcomes = self.workers.run(tasks)
         else:
             self.stats.count("portfolio_serial_races")
             with self.stats.timed("portfolio_race"):
-                outcomes = [_run_strategy_worker(p) for p in payloads]
+                outcomes = [
+                    _run_strategy_worker((spec, request, extracted))
+                    for spec in specs
+                ]
         return outcomes
 
     # -- winner selection ------------------------------------------------------

@@ -8,10 +8,9 @@ with the two-tier cache from :mod:`repro.service.cache`:
   in-flight compilation (thread-safe), and stores fresh results.
 * :meth:`CompileService.compile_batch` — many requests at once;
   deduplicates identical members by fingerprint, probes the cache per
-  unique key, fans the remaining cold keys over a
-  ``ProcessPoolExecutor`` (the same fan-out idiom as
-  :class:`repro.core.evaluate.PairScorer` and ``SRCaQR.run``), and
-  returns reports in **input order** regardless of completion order.
+  unique key, fans the remaining cold keys over the shared process pool
+  (:mod:`repro.pool`, the one every fan-out uses), and returns reports
+  in **input order** regardless of completion order.
 
 ``from_cache`` semantics: a report carries ``from_cache=True`` when it
 was served from an entry (or an in-flight compilation) that this request
@@ -24,13 +23,14 @@ object; nothing mutable is shared between callers or with the cache.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from threading import Lock
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 
+from repro import pool
 from repro.circuit.circuit import QuantumCircuit
 from repro.compile_api import CompileReport, caqr_compile
 from repro.exceptions import ServiceError
@@ -49,7 +49,7 @@ from repro.service.fingerprint import (
     resolve_calib_bands,
 )
 from repro.service.serialization import dumps_entry, loads_entry
-from repro.service.workers import WorkerPool, resolve_workers_mode
+from repro.service.workers import WorkerPool
 from repro.stats import Stats
 
 __all__ = [
@@ -156,20 +156,10 @@ def _cold_compile(request: CompileRequest, allow_parallel: bool) -> CompileRepor
         strategy=request.strategy,
         objective=request.objective,
         portfolio_workers=(
-            # batch workers must not nest the portfolio's process pool
+            # a pool worker races the portfolio serially
             request.portfolio_workers if allow_parallel else 1
         ),
     )
-
-
-def _compile_entry_worker(args: Tuple[str, CompileRequest]) -> Tuple[str, str]:
-    """Pool worker: cold-compile one request, return its serialized entry.
-
-    Runs with ``parallel`` forced off so workers never nest process pools.
-    """
-    key, request = args
-    report = _cold_compile(request, allow_parallel=False)
-    return key, dumps_entry(key, report)
 
 
 class CompileService:
@@ -179,17 +169,13 @@ class CompileService:
         cache_dir: directory for the persistent tier; ``None`` keeps the
             cache purely in-process.
         memory_entries / memory_bytes: LRU caps of the in-process tier.
-        max_workers: process-pool cap for batch fan-out (default:
-            ``os.cpu_count()`` capped at 8, the repo-wide pool idiom).
+        max_workers: batch fan-out width; at most one keeps batches
+            serial (default: the shared pool's width, usable CPUs capped
+            at 8 — see :mod:`repro.pool`).
         stats: optional shared :class:`Stats` sink.
         ttl: optional entry lifetime in seconds for *both* tiers —
             entries older than this count as misses and are dropped
             (groundwork for calibration-drift invalidation).
-        workers_mode: ``"persistent"`` (default; overridable via
-            ``$CAQR_WORKERS_MODE``) reuses one long-lived
-            :class:`~repro.service.workers.WorkerPool` across batch
-            calls with fingerprint-keyed zero-copy request records;
-            ``"ephemeral"`` keeps the old per-call pool.
         disk_entries / disk_bytes: optional per-shard LRU caps on the
             persistent tier (see :class:`~repro.service.cache.DiskCache`).
         ttl_by_bands: per-``calib_bands`` TTL overrides for the
@@ -207,7 +193,6 @@ class CompileService:
         max_workers: Optional[int] = None,
         stats: Optional[Stats] = None,
         ttl: Optional[float] = None,
-        workers_mode: Optional[str] = None,
         disk_entries: Optional[int] = None,
         disk_bytes: Optional[int] = None,
         ttl_by_bands: Optional[Mapping[int, float]] = None,
@@ -229,26 +214,14 @@ class CompileService:
             else None
         )
         self.cache = TieredCache(memory, disk)
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
-        self.workers_mode = resolve_workers_mode(workers_mode)
+        self.max_workers = max_workers or pool.width()
         self._lock = Lock()
         self._inflight: Dict[str, "Future[str]"] = {}
-        self._worker_pool: Optional[WorkerPool] = None
-        self._pool_lock = Lock()
-
-    def worker_pool(self) -> WorkerPool:
-        """The lazily spawned persistent pool (shared stats sink)."""
-        with self._pool_lock:
-            if self._worker_pool is None:
-                self._worker_pool = WorkerPool(self.max_workers, stats=self.stats)
-            return self._worker_pool
+        self.workers = WorkerPool(stats=self.stats)
 
     def close(self) -> None:
-        """Shut the persistent worker pool down (idempotent)."""
-        with self._pool_lock:
-            if self._worker_pool is not None:
-                self._worker_pool.shutdown()
-                self._worker_pool = None
+        """Drop the worker record caches (idempotent); the shared pool stays up."""
+        self.workers.shutdown()
 
     # -- single-request path -------------------------------------------------
 
@@ -394,25 +367,21 @@ class CompileService:
 
         try:
             if cold:
-                workers = min(max_workers or self.max_workers, len(cold))
-                if parallel and len(cold) > 1 and workers > 1:
+                pooled = pool.use_pool(
+                    None if parallel else False,
+                    len(cold),
+                    max_workers or self.max_workers,
+                )
+                if pooled:
                     stats.count("parallel_compiles", len(cold))
                     with stats.timed("compile"):
-                        if self.workers_mode == "persistent":
-                            tasks = [
-                                ("entry", key, request, None)
-                                for key, request in cold
-                            ]
-                            for (key, _), text in zip(
-                                cold, self.worker_pool().run(tasks)
-                            ):
-                                texts[key] = text
-                        else:
-                            with ProcessPoolExecutor(max_workers=workers) as pool:
-                                for key, text in pool.map(
-                                    _compile_entry_worker, cold
-                                ):
-                                    texts[key] = text
+                        tasks = [
+                            ("entry", key, request, None) for key, request in cold
+                        ]
+                        for (key, _), text in zip(
+                            cold, self.workers.run(tasks)
+                        ):
+                            texts[key] = text
                 else:
                     stats.count("serial_compiles", len(cold))
                     for key, request in cold:

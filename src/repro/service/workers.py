@@ -1,14 +1,9 @@
-"""Persistent compile worker pool with fingerprint-keyed request records.
+"""Compile worker tasks with fingerprint-keyed request records.
 
-The batch engine and the portfolio race used to spawn a fresh
-``ProcessPoolExecutor`` per call and pickle the full circuit into every
-task.  :class:`WorkerPool` kills both taxes:
+The batch engine and the portfolio race run on the shared process pool
+(:mod:`repro.pool`) through :class:`WorkerPool`, which keeps them from
+pickling the full request into every task:
 
-* **Persistent** — one pool per :class:`~repro.service.service.CompileService`
-  (or :class:`~repro.service.portfolio.PortfolioCompileService`), spawned
-  lazily on first use and reused across calls.  A dead worker breaks the
-  pool exactly once: :meth:`WorkerPool.run` detects the broken pool,
-  respawns it (``worker_respawns``), and resubmits the interrupted tasks.
 * **Zero-copy warm lanes** — tasks carry ``(kind, fingerprint, record,
   extra)`` where *record* is a canonical encoding of the request (the
   wire-protocol record when expressible, the request object otherwise)
@@ -18,53 +13,34 @@ task.  :class:`WorkerPool` kills both taxes:
   that has never seen a fingerprint and got no record answers
   ``("need_record", fp)`` and the parent resubmits with the record
   attached (``worker_record_misses``).
+* **Respawn** — a dead worker breaks the shared executor exactly once:
+  :meth:`WorkerPool.run` drops it (``worker_respawns``), and resubmits
+  the interrupted tasks on a fresh one.
 
 Task kinds: ``"entry"`` (cold-compile, return the serialized cache
 entry), ``"strategy"`` (run one portfolio lane, return its
 ``StrategyOutcome``), ``"ping"`` (health check), ``"crash"`` (kill the
 worker — the respawn drill used by tests).
-
-``workers_mode="ephemeral"`` (or ``CAQR_WORKERS_MODE=ephemeral``) keeps
-the old per-call pool; the differential tests pin serial == pooled ==
-ephemeral bit-identical either way.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from threading import Lock
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro import pool
 from repro.exceptions import ServiceError
 from repro.stats import Stats
 
-__all__ = [
-    "DEFAULT_WORKERS_MODE",
-    "WORKERS_MODES",
-    "WorkerPool",
-    "resolve_workers_mode",
-]
-
-WORKERS_MODES = ("persistent", "ephemeral")
-DEFAULT_WORKERS_MODE = "persistent"
+__all__ = ["WorkerPool"]
 
 #: A worker task: ``(kind, fingerprint, request-or-record, extra)``.
 WorkerTask = Tuple[str, str, Any, Any]
-
-
-def resolve_workers_mode(mode: Optional[str] = None) -> str:
-    """Validate *mode*, falling back to ``$CAQR_WORKERS_MODE`` then default."""
-    resolved = mode or os.environ.get("CAQR_WORKERS_MODE") or DEFAULT_WORKERS_MODE
-    if resolved not in WORKERS_MODES:
-        raise ServiceError(
-            f"unknown workers mode {resolved!r}; expected one of {WORKERS_MODES}"
-        )
-    return resolved
 
 
 # -- request records -----------------------------------------------------------
@@ -120,8 +96,8 @@ def _worker_task(task: WorkerTask) -> Tuple[str, Any]:
     """Run one pool task; returns ``(status, payload)``.
 
     ``("need_record", fp)`` asks the parent to resubmit with the request
-    record attached.  Compile errors propagate as exceptions, matching
-    the ephemeral ``pool.map`` semantics.
+    record attached.  Compile errors propagate as exceptions, as they do
+    from :func:`repro.pool.map_pooled`.
     """
     kind, fingerprint, record, extra = task
     if kind == "ping":
@@ -163,15 +139,25 @@ def _worker_task(task: WorkerTask) -> Tuple[str, Any]:
 # -- parent side ---------------------------------------------------------------
 
 
+def _submit(executor: ProcessPoolExecutor, task: WorkerTask) -> "Future":
+    """Submit *task*; an executor already broken yields a failed future."""
+    try:
+        return executor.submit(_worker_task, task)
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
 class WorkerPool:
-    """A long-lived, health-checked process pool (thread-safe).
+    """The record-shipping task protocol over the shared pool (thread-safe).
 
     Args:
-        max_workers: pool width (fixed at construction).
         stats: optional shared :class:`Stats` sink — counts
-            ``worker_pool_spawns`` / ``worker_respawns`` /
-            ``worker_tasks`` / ``worker_records_shipped`` /
-            ``worker_record_misses``.
+            ``worker_pool_spawns`` (shared-executor generations this
+            pool dispatched into: the first, one per respawn, one after
+            :meth:`shutdown`) / ``worker_respawns`` / ``worker_tasks`` /
+            ``worker_records_shipped`` / ``worker_record_misses``.
         record_cache_entries: parent-side LRU cap on encoded request
             records kept for re-shipping.
         max_respawns: broken-pool respawns tolerated within one
@@ -180,75 +166,41 @@ class WorkerPool:
 
     def __init__(
         self,
-        max_workers: int,
         stats: Optional[Stats] = None,
         record_cache_entries: int = 256,
         max_respawns: int = 3,
     ):
-        self.max_workers = max(1, int(max_workers))
         self.stats = stats if stats is not None else Stats()
         self.record_cache_entries = max(1, int(record_cache_entries))
         self.max_respawns = max(0, int(max_respawns))
+        #: workers a record ships to before the per-worker caches carry it
+        self.width = pool.width()
         self._lock = Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
         # how many times each fingerprint's record has shipped into the
-        # *current* pool generation — reset on respawn so fresh workers
-        # get the record again without a need_record round-trip
+        # *current* executor generation — reset on respawn so fresh
+        # workers get the record again without a need_record round-trip
         self._shipped: dict = {}
         self._records: "OrderedDict[str, Tuple[str, Any]]" = OrderedDict()
 
-    @property
-    def alive(self) -> bool:
-        """Whether a pool is currently spawned (it spawns lazily)."""
-        return self._pool is not None
+    # -- executor generations --------------------------------------------------
 
-    # -- pool lifecycle --------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _attach(self) -> ProcessPoolExecutor:
         # caller holds self._lock
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        executor = pool.executor()
+        if executor is not self._executor:
+            self._executor = executor
+            self.width = pool.width()
             self._shipped = {}
             self.stats.count("worker_pool_spawns")
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+        return executor
 
     def shutdown(self) -> None:
-        """Tear the pool down and drop all cached records."""
+        """Drop all cached records; the shared pool itself stays up."""
         with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+            self._executor = None
             self._records.clear()
             self._shipped = {}
-
-    def ping(self, timeout: float = 60.0) -> bool:
-        """Round-trip a health check; respawn-on-next-use if it fails."""
-        try:
-            with self._lock:
-                future = self._ensure_pool().submit(
-                    _worker_task, ("ping", "", None, None)
-                )
-            status, _ = future.result(timeout=timeout)
-            return status == "ok"
-        except BrokenProcessPool:
-            self.stats.count("worker_respawns")
-            self._discard_pool()
-            return False
-        except FuturesTimeoutError:
-            return False
-
-    def ensure_healthy(self, timeout: float = 60.0) -> None:
-        """Ping; respawn and re-ping once; raise if the pool stays down."""
-        if self.ping(timeout=timeout):
-            return
-        if not self.ping(timeout=timeout):
-            raise ServiceError("worker pool failed health check after respawn")
 
     # -- record shipping -------------------------------------------------------
 
@@ -263,7 +215,7 @@ class WorkerPool:
         else:
             self._records.move_to_end(fingerprint)
         shipped = self._shipped.get(fingerprint, 0)
-        if force or shipped < self.max_workers:
+        if force or shipped < self.width:
             # until every worker can have seen it, keep attaching the
             # record; after that the per-worker caches carry it
             self._shipped[fingerprint] = shipped + 1
@@ -278,8 +230,8 @@ class WorkerPool:
 
         Resubmits tasks that answered ``need_record`` (with the record
         forced on) and tasks interrupted by a worker death (on a fresh
-        pool).  The first real task exception propagates, like the
-        ephemeral ``pool.map`` it replaces.
+        executor).  The first real task exception propagates, as from
+        :func:`repro.pool.map_pooled`.
         """
         results: List[Any] = [None] * len(tasks)
         pending = list(range(len(tasks)))
@@ -287,7 +239,7 @@ class WorkerPool:
         respawns = 0
         while pending:
             with self._lock:
-                pool = self._ensure_pool()
+                executor = self._attach()
                 futures = []
                 for i in pending:
                     kind, fingerprint, request, extra = tasks[i]
@@ -296,9 +248,7 @@ class WorkerPool:
                     else:
                         record = self._record_for(fingerprint, request, force[i])
                     futures.append(
-                        pool.submit(
-                            _worker_task, (kind, fingerprint, record, extra)
-                        )
+                        _submit(executor, (kind, fingerprint, record, extra))
                     )
                 self.stats.count("worker_tasks", len(pending))
             retry: List[int] = []
@@ -323,7 +273,7 @@ class WorkerPool:
                     results[i] = payload
             if broken:
                 self.stats.count("worker_respawns")
-                self._discard_pool()
+                pool.discard(executor)  # the next _attach sees a new generation
                 respawns += 1
                 if respawns > self.max_respawns:
                     raise ServiceError(

@@ -16,9 +16,9 @@ array and drives every step through vectorised numpy:
   gate's error channel and the output distribution is unchanged).
 
 Shots are split into fixed-size shards (bounded by a per-shard memory
-cap); above a workload threshold the shards fan out over a
-``ProcessPoolExecutor``, mirroring the serial-fallback pattern of
-``core/evaluate.py``.  Sharding and per-shard seeding are independent of
+cap); above a workload threshold the shards fan out over the shared
+process pool (:mod:`repro.pool`), mirroring the serial-fallback pattern
+of ``core/evaluate.py``.  Sharding and per-shard seeding are independent of
 the worker count, so parallel and serial runs return identical counts.
 
 Determinism contract:
@@ -39,14 +39,13 @@ Determinism contract:
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import pool
 from repro.circuit import gates
 from repro.circuit.circuit import QuantumCircuit
 from repro.exceptions import SimulationError
@@ -341,7 +340,7 @@ def _execute_shard(
 
 
 def _run_shard_worker(payload: tuple) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Module-level wrapper so ProcessPoolExecutor can pickle the call."""
+    """Module-level wrapper so the process pool can pickle the call."""
     return _execute_shard(*payload)
 
 
@@ -365,6 +364,8 @@ def run_batched_counts(
 
     Raises :class:`~repro.exceptions.SimulationError` when the noise
     model enables T1/T2 relaxation — use the reference engine there.
+    *max_workers* is the fan-out width for the pooled-or-serial decision
+    (default: the shared pool's width, :func:`repro.pool.width`).
     """
     if shots <= 0:
         raise SimulationError("shots must be positive")
@@ -422,16 +423,15 @@ def run_batched_counts(
 
     workload = shots * (1 << n) * max(len(ops), 1)
     use_parallel = (
-        parallel and len(payloads) > 1 and workload >= parallel_threshold
+        parallel
+        and workload >= parallel_threshold
+        and pool.use_pool(None, len(payloads), max_workers)
     )
     counts: Counter = Counter()
     with stats.timed("execute"):
         if use_parallel:
             stats.count("parallel_batches")
-            workers = max_workers or min(os.cpu_count() or 1, 8)
-            workers = min(workers, len(payloads))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_shard_worker, payloads))
+            results = pool.map_pooled(_run_shard_worker, payloads)
         else:
             stats.count("serial_batches")
             results = [_execute_shard(*payload) for payload in payloads]

@@ -22,23 +22,22 @@ distance sums are exact and the float expression keeps its operation
 order — and candidates are scored in set-iteration order with the same
 RNG tie-break stream.
 
-:func:`sabre_layout` can fan its independent trials out to a process pool
-(``parallel=`` / ``CAQR_ROUTE_WORKERS``); layout trials pre-draw their RNG
+:func:`sabre_layout` can fan its independent trials out to the shared
+process pool (``parallel=``, :mod:`repro.pool`); layout trials pre-draw their RNG
 material serially so the winning layout never depends on worker timing
 (see ``docs/ROUTER.md``).
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
 from repro.dag.dagcircuit import DAGCircuit
 from repro.exceptions import TranspilerError
+from repro import pool
 from repro.hardware.coupling import CouplingMap
 from repro.stats import Stats
 from repro.transpiler.layout import Layout, trivial_layout
@@ -50,17 +49,6 @@ _EXTENDED_SET_WEIGHT = 0.5
 _DECAY_INCREMENT = 0.001
 _DECAY_RESET_INTERVAL = 5
 _STALL_LIMIT = 100
-
-
-def _route_workers() -> int:
-    """Worker-pool size for parallel layout trials.
-
-    ``CAQR_ROUTE_WORKERS`` overrides; the default caps at 8 processes.
-    """
-    override = os.environ.get("CAQR_ROUTE_WORKERS")
-    if override:
-        return max(1, int(override))
-    return min(os.cpu_count() or 1, 8)
 
 
 class RoutingResult:
@@ -402,10 +390,10 @@ def sabre_layout(
     searches return bit-identical layouts.
 
     Args:
-        parallel: ``True`` forces the process pool, ``False`` forces the
-            in-process loop, ``None`` (default) uses the pool only when
-            more than one worker (``CAQR_ROUTE_WORKERS``) and more than one
-            trial are available.
+        parallel: ``True`` forces the shared process pool, ``False`` the
+            in-process loop; ``None`` (default) pools only when more than
+            one usable CPU (or ``CAQR_ROUTE_WORKERS``) and more than one
+            trial are available (:func:`repro.pool.use_pool`).
         stats: optional :class:`Stats` sink (worker-side counters are
             merged back in).
 
@@ -432,18 +420,13 @@ def sabre_layout(
         seeds = [rng.randrange(1 << 30) for _ in range(2 * iterations + 1)]
         trial_specs.append((physical_order, seeds))
 
-    workers = _route_workers()
-    use_parallel = (
-        parallel if parallel is not None else (workers > 1 and trials > 1)
-    )
     results: List[Tuple[Layout, int, Stats]]
-    if use_parallel and trials > 1:
+    if pool.use_pool(parallel, trials):
         payloads = [
             (plan, reverse_plan, coupling, iterations, order, seeds)
             for order, seeds in trial_specs
         ]
-        with ProcessPoolExecutor(max_workers=min(workers, trials)) as pool:
-            results = list(pool.map(_layout_trial_worker, payloads))
+        results = pool.map_pooled(_layout_trial_worker, payloads)
         if stats is not None:
             stats.count("parallel_trials", len(results))
     else:

@@ -75,39 +75,44 @@ class TestPairScorer:
         analysis = ReuseAnalysis(circuit)
         pairs = analysis.valid_pairs()
         stats = Stats()
-        with PairScorer(stats=stats, parallel=False) as scorer:
-            first = scorer.score_all(analysis.dag, pairs)
-            again = scorer.score_all(analysis.dag, pairs)
-            assert first == again
-            assert stats.counters["evaluations"] == len(pairs)
-            assert stats.counters["cache_hits"] == len(pairs)
-            scorer.invalidate()
-            scorer.score_all(analysis.dag, pairs)
-            assert stats.counters["evaluations"] == 2 * len(pairs)
+        scorer = PairScorer(stats=stats, parallel=False)
+        first = scorer.score_all(analysis.dag, pairs)
+        again = scorer.score_all(analysis.dag, pairs)
+        assert first == again
+        assert stats.counters["evaluations"] == len(pairs)
+        assert stats.counters["cache_hits"] == len(pairs)
+        scorer.invalidate()
+        scorer.score_all(analysis.dag, pairs)
+        assert stats.counters["evaluations"] == 2 * len(pairs)
 
-    def test_small_batches_stay_serial(self):
+    def test_small_batches_stay_serial(self, monkeypatch):
         """Below the workload threshold no process pool is spawned."""
         circuit = bv_circuit(5)
         analysis = ReuseAnalysis(circuit)
         stats = Stats()
-        with PairScorer(stats=stats, parallel=True) as scorer:
-            scorer.score_all(analysis.dag, analysis.valid_pairs())
-            assert scorer._executor is None
-            assert stats.counters.get("serial_batches", 0) == 1
-            assert stats.counters.get("parallel_batches", 0) == 0
+
+        def _no_pool(*args, **kwargs):
+            raise AssertionError("a small batch must not build a pool")
+
+        monkeypatch.setattr("repro.pool._executor", None)
+        monkeypatch.setattr("repro.pool.ProcessPoolExecutor", _no_pool)
+        scorer = PairScorer(stats=stats, parallel=True)
+        scorer.score_all(analysis.dag, analysis.valid_pairs())
+        assert stats.counters.get("serial_batches", 0) == 1
+        assert stats.counters.get("parallel_batches", 0) == 0
 
     def test_forced_parallel_matches_serial_scores(self):
         circuit = bv_circuit(8)
         analysis = ReuseAnalysis(circuit)
         pairs = analysis.valid_pairs()
         stats = Stats()
-        with PairScorer(
+        forced = PairScorer(
             stats=stats, parallel=True, parallel_threshold=0, max_workers=2
-        ) as forced:
-            parallel_scores = forced.score_all(analysis.dag, pairs)
-            assert stats.counters["parallel_batches"] == 1
-        with PairScorer(parallel=False) as serial:
-            assert parallel_scores == serial.score_all(analysis.dag, pairs)
+        )
+        parallel_scores = forced.score_all(analysis.dag, pairs)
+        assert stats.counters["parallel_batches"] == 1
+        serial = PairScorer(parallel=False)
+        assert parallel_scores == serial.score_all(analysis.dag, pairs)
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ReuseError):

@@ -102,7 +102,7 @@ def test_repeated_compiles_are_identical():
 def test_serial_race_never_forks_layout_pools(mode, knobs, monkeypatch):
     """``parallel=False`` reaches every lane's transpile: no SABRE layout
     pool is built even where the route worker count would allow one."""
-    import repro.transpiler.sabre as sabre
+    import repro.pool
 
     pools = []
 
@@ -111,7 +111,8 @@ def test_serial_race_never_forks_layout_pools(mode, knobs, monkeypatch):
         raise AssertionError("parallel=False compile built a process pool")
 
     monkeypatch.setenv("CAQR_ROUTE_WORKERS", "2")
-    monkeypatch.setattr(sabre, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(repro.pool, "_executor", None)
+    monkeypatch.setattr(repro.pool, "ProcessPoolExecutor", no_pool)
     report = caqr_compile(
         bv_circuit(6), ibm_mumbai(), mode=mode, strategy="portfolio",
         parallel=False, portfolio_workers=1, **knobs,
@@ -409,7 +410,7 @@ def test_persistent_pool_race_matches_serial():
     and the second race on the same request re-ships nothing."""
     circuit = _sample_circuit(3)
     serial = PortfolioCompileService(max_workers=1)
-    pooled = PortfolioCompileService(max_workers=2, workers_mode="persistent")
+    pooled = PortfolioCompileService(max_workers=2)
     try:
         base = serial.compile(circuit, objective="qubits", parallel=False)
         fast = pooled.compile(circuit, objective="qubits", parallel=True)
@@ -422,22 +423,6 @@ def test_persistent_pool_race_matches_serial():
         assert pooled.stats.counters["worker_records_shipped"] == shipped, (
             "a warm re-race must not re-ship the request record"
         )
-    finally:
-        serial.close()
-        pooled.close()
-
-
-def test_ephemeral_pool_race_matches_serial():
-    circuit = _sample_circuit(4)
-    serial = PortfolioCompileService(max_workers=1)
-    pooled = PortfolioCompileService(max_workers=2, workers_mode="ephemeral")
-    try:
-        _assert_same_report(
-            serial.compile(circuit, objective="qubits", parallel=False),
-            pooled.compile(circuit, objective="qubits", parallel=True),
-            "ephemeral pool",
-        )
-        assert "worker_pool_spawns" not in pooled.stats.counters
     finally:
         serial.close()
         pooled.close()

@@ -1,11 +1,11 @@
-"""Persistent worker pool: record protocol, respawn, serial == pooled.
+"""Worker task protocol over the shared pool: records, respawn, serial == pooled.
 
 The protocol tests drive ``_worker_task`` in-process (no subprocess
-spawn) after resetting the worker-side decoded cache; the pool tests
-spawn a real (small) pool and exercise the crash/respawn drill and the
-need_record round trip; the service tests pin the contract that matters
-most — a pooled ``compile_batch`` is identical to the serial path, in
-both ``persistent`` and ``ephemeral`` modes.  "Identical" means every
+spawn) after resetting the worker-side decoded cache; the pool tests run
+a fresh one-worker shared pool and exercise the crash/respawn drill and
+the need_record round trip; the service tests pin the contract that
+matters most — a pooled ``compile_batch`` is identical to the serial
+path, and re-dispatches reuse one executor.  "Identical" means every
 compile output field-for-field; the stats *timer* maps riding on the
 report (``route_stats``/``eval_stats``/``sim_stats``) are wall-clock
 measurements and are normalised out before comparing two independent
@@ -15,18 +15,16 @@ run — see ``tests/property/test_cache_roundtrip.py``).
 
 import pytest
 
+from repro import pool as shared_pool
 from repro.exceptions import ServiceError
 from repro.service import (
     CompileService,
     WorkerPool,
     loads_entry,
     report_to_dict,
-    resolve_workers_mode,
 )
 from repro.service.service import CompileRequest, _cold_compile
 from repro.service.workers import (
-    DEFAULT_WORKERS_MODE,
-    WORKERS_MODES,
     _decode_record,
     _encode_record,
     _reset_worker_state,
@@ -49,29 +47,6 @@ def _normalized(report_dict):
 def _entry_dict(text, fingerprint):
     """Decode an entry (validating its stamped key) to a normalised dict."""
     return _normalized(report_to_dict(loads_entry(text, key=fingerprint)))
-
-
-class TestWorkersMode:
-    def test_default_is_persistent(self, monkeypatch):
-        monkeypatch.delenv("CAQR_WORKERS_MODE", raising=False)
-        assert DEFAULT_WORKERS_MODE == "persistent"
-        assert resolve_workers_mode(None) == "persistent"
-
-    def test_explicit_modes(self):
-        for mode in WORKERS_MODES:
-            assert resolve_workers_mode(mode) == mode
-
-    def test_env_fallback_and_explicit_override(self, monkeypatch):
-        monkeypatch.setenv("CAQR_WORKERS_MODE", "ephemeral")
-        assert resolve_workers_mode(None) == "ephemeral"
-        assert resolve_workers_mode("persistent") == "persistent"
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        with pytest.raises(ServiceError, match="unknown workers mode"):
-            resolve_workers_mode("forked")
-        monkeypatch.setenv("CAQR_WORKERS_MODE", "junk")
-        with pytest.raises(ServiceError, match="unknown workers mode"):
-            resolve_workers_mode(None)
 
 
 class TestRecordCodec:
@@ -142,38 +117,49 @@ class TestWorkerTaskProtocol:
             _worker_task(("transmogrify", request.fingerprint(), record, None))
 
 
+@pytest.fixture
+def one_worker_pool(monkeypatch):
+    """A fresh one-worker shared executor, so every task meets the same
+    worker and no earlier test's decoded records are cached there."""
+    monkeypatch.setenv(shared_pool.WIDTH_ENV, "1")
+    shared_pool.shutdown()
+    yield
+    shared_pool.shutdown()
+
+
+@pytest.mark.usefixtures("one_worker_pool")
 class TestWorkerPool:
     def test_crash_respawn_drill(self):
         stats = Stats()
-        pool = WorkerPool(1, stats=stats, max_respawns=1)
+        pool = WorkerPool(stats=stats, max_respawns=1)
         try:
-            assert pool.ping()
+            assert pool.run([("ping", "", None, None)])
             spawns_before = stats.counters["worker_pool_spawns"]
             with pytest.raises(ServiceError, match="worker pool died"):
                 pool.run([("crash", "", None, None)])
             assert stats.counters["worker_respawns"] >= 2
             # the pool heals: the next use spawns fresh workers
-            assert pool.ping()
+            assert pool.run([("ping", "", None, None)])
             assert stats.counters["worker_pool_spawns"] > spawns_before
         finally:
             pool.shutdown()
 
     def test_need_record_roundtrip_then_zero_copy_redispatch(self):
         stats = Stats()
-        pool = WorkerPool(1, stats=stats)
+        pool = WorkerPool(stats=stats)
         request = CompileRequest(target=bv_circuit(4))
         fingerprint = request.fingerprint()
         try:
-            assert pool.ping()  # spawn now so _shipped survives below
+            pool.run([("ping", "", None, None)])  # attach so _shipped survives
             # pretend the record already shipped: the cold worker answers
             # need_record and the parent resubmits with the record forced
-            pool._shipped[fingerprint] = pool.max_workers
+            pool._shipped[fingerprint] = pool.width
             [text] = pool.run([("entry", fingerprint, request, None)])
             loads_entry(text, key=fingerprint)  # validates the stamped key
             assert stats.counters["worker_record_misses"] == 1
             assert stats.counters["worker_records_shipped"] == 1
             # the lane is warm: a re-dispatch ships nothing and matches
-            pool._shipped[fingerprint] = pool.max_workers
+            pool._shipped[fingerprint] = pool.width
             [again] = pool.run([("entry", fingerprint, request, None)])
             assert _entry_dict(again, fingerprint) == _entry_dict(
                 text, fingerprint
@@ -184,7 +170,7 @@ class TestWorkerPool:
             pool.shutdown()
 
     def test_results_come_back_in_input_order(self):
-        pool = WorkerPool(2)
+        pool = WorkerPool()
         requests = [CompileRequest(target=bv_circuit(n)) for n in (4, 5, 6)]
         try:
             texts = pool.run(
@@ -204,7 +190,7 @@ class TestServiceIntegration:
     def test_persistent_batch_matches_serial_and_reuses_the_pool(self):
         requests = [CompileRequest(target=bv_circuit(n)) for n in (4, 5, 6)]
         serial = CompileService()
-        pooled = CompileService(max_workers=2, workers_mode="persistent")
+        pooled = CompileService(max_workers=2)
         try:
             base = self._batch_dicts(serial.compile_batch(requests, parallel=False))
             fast = self._batch_dicts(
@@ -224,23 +210,43 @@ class TestServiceIntegration:
             serial.close()
             pooled.close()
 
-    def test_ephemeral_mode_matches_serial(self):
-        requests = [CompileRequest(target=bv_circuit(n)) for n in (4, 5)]
-        serial = CompileService()
-        ephemeral = CompileService(max_workers=2, workers_mode="ephemeral")
+    def test_redispatch_builds_one_executor_and_ships_records_once_per_worker(
+        self, monkeypatch
+    ):
+        """Re-dispatching one batch reuses the shared executor, and each
+        request record ships once per worker: after that, tasks carry
+        only the fingerprint (a worker that never saw it costs one
+        forced re-ship, ``worker_record_misses``)."""
+        built = []
+        constructor = shared_pool.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["max_workers"])
+            return constructor(*args, **kwargs)
+
+        shared_pool.shutdown()
+        monkeypatch.setattr(shared_pool, "ProcessPoolExecutor", counting)
+        requests = [CompileRequest(target=bv_circuit(n)) for n in (4, 5, 6)]
+        rounds = 4
+        service = CompileService(max_workers=2)
         try:
-            base = self._batch_dicts(serial.compile_batch(requests, parallel=False))
-            fast = self._batch_dicts(
-                ephemeral.compile_batch(requests, parallel=True, max_workers=2)
-            )
-            assert fast == base
-            assert "worker_pool_spawns" not in ephemeral.stats.counters
+            for _ in range(rounds):
+                service.cache.clear()
+                service.compile_batch(requests, parallel=True, max_workers=2)
         finally:
-            serial.close()
-            ephemeral.close()
+            service.close()
+        assert len(built) == 1, "re-dispatches must reuse one executor"
+        counters = service.stats.counters
+        assert counters["worker_pool_spawns"] == 1
+        assert counters["worker_tasks"] >= rounds * len(requests)
+        misses = counters.get("worker_record_misses", 0)
+        assert misses <= built[0] * len(requests)
+        assert counters["worker_records_shipped"] == (
+            min(rounds, built[0]) * len(requests) + misses
+        )
 
     def test_close_is_idempotent_and_the_pool_respawns_lazily(self):
-        service = CompileService(max_workers=2, workers_mode="persistent")
+        service = CompileService(max_workers=2)
         requests = [CompileRequest(target=bv_circuit(n)) for n in (4, 5)]
         try:
             service.compile_batch(requests, parallel=True, max_workers=2)

@@ -89,7 +89,8 @@ class TestSerialCompile:
         def _no_pool(*args, **kwargs):
             raise AssertionError("serial compile forked a layout pool")
 
-        monkeypatch.setattr("repro.transpiler.sabre.ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr("repro.pool._executor", None)
+        monkeypatch.setattr("repro.pool.ProcessPoolExecutor", _no_pool)
         report = caqr_compile(
             bv_circuit(16), backend=ibm_mumbai(), parallel=False, **kwargs
         )

@@ -125,9 +125,8 @@ class TestSabreLayout:
         def _no_pool(*args, **kwargs):
             raise AssertionError("a rejected layout search must not fork")
 
-        monkeypatch.setattr(
-            "repro.transpiler.sabre.ProcessPoolExecutor", _no_pool
-        )
+        monkeypatch.setattr("repro.pool._executor", None)
+        monkeypatch.setattr("repro.pool.ProcessPoolExecutor", _no_pool)
         with pytest.raises(TranspilerError, match="exceed device size"):
             sabre_layout(random_circuit(5, 10, seed=1), line(3), parallel=parallel)
 
@@ -136,9 +135,8 @@ class TestSabreLayout:
         def _no_pool(*args, **kwargs):
             raise AssertionError("a rejected layout search must not fork")
 
-        monkeypatch.setattr(
-            "repro.transpiler.sabre.ProcessPoolExecutor", _no_pool
-        )
+        monkeypatch.setattr("repro.pool._executor", None)
+        monkeypatch.setattr("repro.pool.ProcessPoolExecutor", _no_pool)
         with pytest.raises(TranspilerError, match="at least one trial"):
             sabre_layout(
                 random_circuit(3, 10, seed=1), line(3), trials=0, parallel=parallel
